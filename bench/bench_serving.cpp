@@ -7,10 +7,10 @@
 // point binds a Telemetry to the server and load generator, and the
 // JSON record is built from one MetricsRegistry snapshot — the bench
 // exercises the same instruments operators would export, instead of
-// hand-copying private stats structs.  Latency percentiles therefore
-// come from the shared fixed-bucket histogram (~15% bucket growth),
-// not the exact reservoir — comparable within a record, and across
-// records only at histogram resolution.
+// hand-copying private stats structs.  Latency percentiles come from
+// the shared fixed-bucket histogram (~15% bucket growth) — the same
+// numbers server.stats() reports — comparable within a record, and
+// across records only at histogram resolution.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -93,7 +93,8 @@ int main() {
     serving.batch.max_wait = 2e-3;
     serving.seed = 7;
     serving.telemetry = &telemetry;
-    InferenceServer server(dataset, model, serving);
+    auto backend = make_static_backend(dataset, serving);
+    InferenceServer server(*backend, model, serving);
 
     LoadGeneratorConfig load;
     load.num_clients = point.clients;

@@ -12,7 +12,7 @@
 // JSON record is built from a single MetricsRegistry snapshot taken
 // after the load drains — the bench exercises the same instruments an
 // operator would export.  Latency percentiles come from the shared
-// fixed-bucket histograms (~15% bucket growth), not exact reservoirs.
+// fixed-bucket histograms (~15% bucket growth).
 //
 // The headline record is the mixed 90/10 query/update point (90% of
 // operations are queries, 10% update ops — the ISSUE-2 workload).  The
@@ -45,8 +45,8 @@
 //
 // The record also carries a `telemetry_overhead` note — the static
 // point re-run with telemetry off vs on (interleaved, min-of-N per
-// arm, exact reservoir p50 on both arms so the comparison is
-// apples-to-apples), the measured cost of leaving the plane on — and a
+// arm, the server's serving.latency_ms histogram p50 on both arms so
+// the comparison is apples-to-apples), the measured cost of leaving the plane on — and a
 // `diagnosis_overhead` note, the same comparison against the FULL
 // diagnosis plane (stage tracing + exemplar ring + heartbeats + a
 // sweeping liveness watchdog), gated at <= 3% p50.
@@ -182,7 +182,7 @@ int main() {
              {18, 9, 9, 9, 11, 9, 8, 8, 8});
 
   // One closed-loop session at `point` against `system`, reporting
-  // through `telemetry` when non-null; returns the exact reservoir p50
+  // through `telemetry` when non-null; returns the server's stats() p50
   // (seconds) for the overhead note.
   const auto run_point = [&](HyScale& system, const OperatingPoint& point,
                              Telemetry* telemetry) -> Seconds {
@@ -207,7 +207,7 @@ int main() {
     ExpiryPolicy expiry;
     expiry.ttl = point.ttl_ms < 0.0 ? -1.0 : point.ttl_ms * 1e-3;
     expiry.sweep_interval = 5e-3;
-    StreamingSession session = system.stream(serving, streaming, compaction, publisher, expiry);
+    ServingSession session = system.stream(serving, streaming, compaction, publisher, expiry);
 
     UpdateGeneratorConfig updates;
     updates.operations = point.update_ops;
@@ -312,7 +312,7 @@ int main() {
       compaction.max_overlay_ratio = 0.10;
       PublisherPolicy publisher;
       publisher.staleness_budget = point.slo_budget_ms * 1e-3;
-      ShardedStreamingSession session =
+      ServingSession session =
           system.stream_sharded(sharded, serving, compaction, publisher);
 
       UpdateGeneratorConfig updates;
@@ -365,11 +365,13 @@ int main() {
   // Observability overhead on the static point: three interleaved arms
   // (off / telemetry / telemetry + full diagnosis plane) so drift hits
   // all of them, min-of-N per arm (min is the low-noise estimator for
-  // a latency floor).  Every arm reports the exact reservoir p50 from
-  // the server's own stats — identical methodology, so each delta is
-  // the cost of what that arm adds: the metrics mirrors + tracer +
-  // exemplar ring for `telemetry_overhead`, plus heartbeat stamps and
-  // a sweeping liveness watchdog for `diagnosis_overhead`.
+  // a latency floor).  Every arm reports the p50 of the server's
+  // serving.latency_ms histogram (stats(); the server records it with
+  // telemetry off too) — identical methodology, so each delta is the
+  // cost of what that arm adds: the tracer, exemplar ring and the
+  // streaming/batcher instruments for `telemetry_overhead`, plus
+  // heartbeat stamps and a sweeping liveness watchdog for
+  // `diagnosis_overhead`.
   constexpr int kOverheadReps = 2;
   Seconds p50_off = 1e30, p50_on = 1e30, p50_diag = 1e30;
   {
@@ -557,8 +559,8 @@ int main() {
   json.field("p50_off_ms", p50_off * 1e3);
   json.field("p50_on_ms", p50_on * 1e3);
   json.field("overhead_pct", overhead_pct);
-  json.field("note", "exact reservoir p50 both arms, interleaved, min per arm; "
-                     "acceptance bound: <= 3%");
+  json.field("note", "serving.latency_ms histogram p50 both arms, interleaved, min per "
+                     "arm; acceptance bound: <= 3%");
   json.end_object();
   json.key("diagnosis_overhead");
   json.begin_object();
@@ -568,8 +570,8 @@ int main() {
   json.field("p50_on_ms", p50_diag * 1e3);
   json.field("overhead_pct", diagnosis_pct);
   json.field("note", "on arm = telemetry + stage tracing + exemplar ring + liveness "
-                     "watchdog; exact reservoir p50 both arms, interleaved, min per "
-                     "arm; acceptance bound: <= 3%");
+                     "watchdog; serving.latency_ms histogram p50 both arms, "
+                     "interleaved, min per arm; acceptance bound: <= 3%");
   json.end_object();
   json.end_object();
 

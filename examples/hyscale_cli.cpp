@@ -617,7 +617,7 @@ int run_stream_impl(const StreamOptions& options) {
     // One facade-wide TTL sweeper, paced through the ServingBackend
     // seam — retirement broadcasts to every shard so the vertex spaces
     // stay in lockstep.
-    ShardedStreamingSession session =
+    ServingSession session =
         system.stream_sharded(sharded, serving, compaction, publisher, {}, expiry);
 
     const Partition& partition = session.shards().partition();
@@ -688,7 +688,7 @@ int run_stream_impl(const StreamOptions& options) {
     return 0;
   }
 
-  StreamingSession session = system.stream(serving, streaming, compaction, publisher, expiry);
+  ServingSession session = system.stream(serving, streaming, compaction, publisher, expiry);
 
   std::printf("\nstreaming %s on %d workers (%lld base edges, compact at %lld overlay "
               "edges or %.0f%%, wire=%s, rerank=%s)\n",
@@ -838,7 +838,8 @@ int run_serve_impl(const ServeOptions& options) {
   serving.telemetry = telemetry.get();
 
   const ModelSnapshot snapshot(trainer.model());
-  InferenceServer server(dataset, snapshot, serving);
+  auto backend = make_static_backend(dataset, serving);
+  InferenceServer server(*backend, snapshot, serving);
 
   std::printf("\nserving %s on %d workers (", dataset.info.name.c_str(), options.workers);
   if (serving.fanouts.empty()) {

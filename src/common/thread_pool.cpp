@@ -61,10 +61,11 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     }
     submit([&, lo, hi] {
       body(lo, hi);
-      {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        --remaining;
-      }
+      // Signal while holding the latch mutex: the caller can only see
+      // remaining == 0 after this unlock, so it cannot return and free
+      // the stack-local done_cv while notify_one is still inside it.
+      std::lock_guard<std::mutex> lock(done_mutex);
+      --remaining;
       done_cv.notify_one();
     });
   }

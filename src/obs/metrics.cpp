@@ -50,8 +50,8 @@ void Histogram::observe_ms(double ms) {
 double MetricsSnapshot::HistogramView::percentile_ms(double q) const {
   if (count <= 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);
-  // Nearest-rank target over the cumulative bucket counts, matching the
-  // 1-based convention ServingStats pins in its tests.
+  // Nearest-rank target over the cumulative bucket counts: rank
+  // ceil(q * n) is 1-BASED, so p50 of 4 samples lands on the 2nd.
   const std::int64_t rank = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(std::ceil(q * static_cast<double>(count))));
   const auto& bounds = Histogram::bucket_bounds_ms();

@@ -61,13 +61,20 @@ class Counter {
 };
 
 /// Last-writer-wins scalar (queue depth, current version id).  set_max
-/// keeps a high-water mark without a lock.
+/// keeps a high-water mark without a lock; set_min a low-water mark of
+/// positive values, reading 0 until the first one lands.
 class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
   void set_max(double v) {
     double cur = value_.load(std::memory_order_relaxed);
     while (v > cur &&
+           !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    }
+  }
+  void set_min(double v) {
+    double cur = value_.load(std::memory_order_relaxed);
+    while ((cur == 0.0 || v < cur) &&
            !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
     }
   }

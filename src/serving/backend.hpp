@@ -111,8 +111,7 @@ class BackendSession {
 /// detaching on destruction) and implement ExpiryTarget so one
 /// ExpirySweeper paces TTL retirement over whichever graph is behind
 /// the seam.  A backend serves one InferenceServer at a time and must
-/// outlive it (the compat InferenceServer constructors own their
-/// backend internally).
+/// outlive it.
 class ServingBackend : public ExpiryTarget {
  public:
   /// Mode label: "static", "streaming", or "sharded" — the `backend=`

@@ -2,17 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "common/rng.hpp"
+#include "common/strutil.hpp"
 #include "obs/telemetry.hpp"
-#include "serving/sharded_backend.hpp"
-#include "serving/static_backend.hpp"
-#include "serving/streaming_backend.hpp"
 
 namespace hyscale {
 
@@ -53,66 +50,50 @@ struct SessionReleaseGuard {
 
 }  // namespace
 
-InferenceServer::InferenceServer(const Dataset& dataset, const ModelSnapshot& snapshot,
-                                 ServingConfig config)
-    : InferenceServer(
-          [&dataset](const ServingConfig& c) { return make_static_backend(dataset, c); },
-          nullptr, snapshot, std::move(config)) {}
-
-InferenceServer::InferenceServer(StreamingGraph& stream, const ModelSnapshot& snapshot,
-                                 ServingConfig config)
-    : InferenceServer(
-          [&stream](const ServingConfig& c) { return make_streaming_backend(stream, c); },
-          nullptr, snapshot, std::move(config)) {}
-
-InferenceServer::InferenceServer(ShardedStreamingGraph& sharded,
-                                 const ModelSnapshot& snapshot, ServingConfig config)
-    : InferenceServer(
-          [&sharded](const ServingConfig& c) { return make_sharded_backend(sharded, c); },
-          nullptr, snapshot, std::move(config)) {}
-
 InferenceServer::InferenceServer(ServingBackend& backend, const ModelSnapshot& snapshot,
                                  ServingConfig config)
-    : InferenceServer(BackendFactory{}, &backend, snapshot, std::move(config)) {}
-
-InferenceServer::InferenceServer(const BackendFactory& factory, ServingBackend* backend,
-                                 const ModelSnapshot& snapshot, ServingConfig config)
     : config_(std::move(config)),
       num_classes_(snapshot.num_classes()),
       num_layers_(snapshot.num_layers()),
+      backend_(backend),
       batcher_(config_.batch) {
-  if (factory) {
-    owned_backend_ = factory(config_);
-    backend_ = owned_backend_.get();
-  } else {
-    backend_ = backend;
-  }
-  bind_telemetry();
+  bind_metrics();
   init_workers(snapshot);
 }
 
-bool InferenceServer::streaming() const {
-  return std::strcmp(backend_->name(), "streaming") == 0;
-}
-
-bool InferenceServer::sharded() const {
-  return std::strcmp(backend_->name(), "sharded") == 0;
-}
-
-void InferenceServer::bind_telemetry() {
+void InferenceServer::bind_metrics() {
+  if (config_.telemetry != nullptr) {
+    registry_ = &config_.telemetry->registry();
+  } else {
+    own_registry_ = std::make_unique<MetricsRegistry>();
+    registry_ = own_registry_.get();
+  }
+  MetricsRegistry& reg = *registry_;
+  m_completed_ = &reg.counter("serving.requests_completed");
+  m_rejected_ = &reg.counter("serving.requests_rejected");
+  m_batches_ = &reg.counter("serving.batches");
+  m_seeds_ = &reg.counter("serving.seeds");
+  m_batch_requests_ = &reg.counter("serving.batch_requests_total");
+  m_cache_hits_ = &reg.counter("serving.cache_hits");
+  m_cache_misses_ = &reg.counter("serving.cache_misses");
+  m_device_bytes_ = &reg.gauge("serving.cache_device_bytes");
+  m_host_bytes_ = &reg.gauge("serving.cache_host_bytes");
+  m_min_batch_ = &reg.gauge("serving.min_batch_requests");
+  m_max_batch_ = &reg.gauge("serving.max_batch_requests");
+  m_latency_ = &reg.histogram("serving.latency_ms");
+  m_queue_wait_ = &reg.histogram("serving.queue_wait_ms");
   if (config_.telemetry == nullptr) return;
-  stats_.bind(config_.telemetry);
+
   batcher_.bind(config_.telemetry);
   tracer_ = &config_.telemetry->tracer();
   if (config_.telemetry->exemplars().capacity() > 0)
     exemplars_ = &config_.telemetry->exemplars();
-  MetricsRegistry& reg = config_.telemetry->registry();
   m_served_version_ = &reg.gauge("serving.last_served_version");
   m_model_epoch_ = &reg.gauge("model.epoch");
   m_model_epoch_->set(1.0);
-  backend_->bind_metrics(reg);
+  backend_.bind_metrics(reg);
   config_.telemetry->journal().log(
-      "serving_start", std::string("backend=") + backend_->name() +
+      "serving_start", std::string("backend=") + backend_.name() +
                            " workers=" + std::to_string(config_.num_workers));
 }
 
@@ -127,7 +108,7 @@ void InferenceServer::init_workers(const ModelSnapshot& snapshot) {
   workers_.resize(static_cast<std::size_t>(config_.num_workers));
   for (std::size_t w = 0; w < workers_.size(); ++w) {
     workers_[w].model = snapshot.instantiate();
-    workers_[w].session = backend_->make_session(config_.seed + w, num_layers_);
+    workers_[w].session = backend_.make_session(config_.seed + w, num_layers_);
     if (config_.telemetry != nullptr) {
       // Hint: the longest stage-to-stage gap while busy.  Workers beat
       // between pipeline stages, so only a single wedged stage (a
@@ -147,9 +128,6 @@ InferenceServer::~InferenceServer() {
   batcher_.shutdown();
   pool_.reset();     // joins the worker loops after they drain the queue
   workers_.clear();  // sessions die before the backend they came from
-  // The owned backend detaches its caches and cache.* callbacks here; a
-  // borrowed backend keeps them until IT dies (it outlives the server).
-  owned_backend_.reset();
 }
 
 std::optional<std::future<InferenceResult>> InferenceServer::try_submit(
@@ -159,7 +137,7 @@ std::optional<std::future<InferenceResult>> InferenceServer::try_submit(
   // Streaming vertices become queryable once a version containing them
   // is published (sharded: adopted — execute-time cuts/versions are
   // monotonically newer).
-  const VertexId limit = backend_->query_limit();
+  const VertexId limit = backend_.query_limit();
   for (VertexId v : seeds) {
     if (v < 0 || v >= limit)
       throw std::invalid_argument("InferenceServer: seed vertex out of range");
@@ -170,7 +148,7 @@ std::optional<std::future<InferenceResult>> InferenceServer::try_submit(
   request.enqueue_time = std::chrono::steady_clock::now();
   auto future = request.promise.get_future();
   if (!batcher_.submit(std::move(request))) {
-    stats_.record_rejection();
+    m_rejected_->add(1);
     return std::nullopt;
   }
   return future;
@@ -207,7 +185,7 @@ std::uint64_t InferenceServer::swap_model(const ModelSnapshot& snapshot) {
   if (m_model_epoch_ != nullptr) m_model_epoch_->set(static_cast<double>(epoch));
   if (config_.telemetry != nullptr) {
     config_.telemetry->journal().log(
-        "model_swap", std::string("backend=") + backend_->name() +
+        "model_swap", std::string("backend=") + backend_.name() +
                           " epoch=" + std::to_string(epoch));
   }
   return epoch;
@@ -301,7 +279,12 @@ void InferenceServer::execute_batch(Worker& worker, std::vector<InferenceRequest
 
     Tensor& x = worker.x;
     const auto gather_stats = session.gather(mb, x, worker.hit_scratch);
-    if (gather_stats) stats_.record_gather(*gather_stats);
+    if (gather_stats) {
+      m_cache_hits_->add(gather_stats->hits);
+      m_cache_misses_->add(gather_stats->misses);
+      m_device_bytes_->add(gather_stats->device_bytes);
+      m_host_bytes_->add(gather_stats->host_bytes);
+    }
     maybe_rerank(static_cast<std::int64_t>(mb.input_nodes().size()));
     const std::int64_t gather_end_ns = diag ? StageTracer::now_ns() : 0;
     if (tracing)
@@ -318,7 +301,12 @@ void InferenceServer::execute_batch(Worker& worker, std::vector<InferenceRequest
 
     const auto completion = std::chrono::steady_clock::now();
     const auto batch_seeds = static_cast<std::int64_t>(combined.size());
-    stats_.record_batch(static_cast<std::int64_t>(batch.size()), batch_seeds);
+    const auto batch_requests = static_cast<std::int64_t>(batch.size());
+    m_batches_->add(1);
+    m_batch_requests_->add(batch_requests);
+    m_seeds_->add(batch_seeds);
+    m_min_batch_->set_min(static_cast<double>(batch_requests));
+    m_max_batch_->set_max(static_cast<double>(batch_requests));
 
     std::int64_t row = 0;
     for (auto& request : batch) {
@@ -337,9 +325,11 @@ void InferenceServer::execute_batch(Worker& worker, std::vector<InferenceRequest
           std::chrono::duration<double>(pickup - request.enqueue_time).count();
       result.request_id = request.id;
       result.batch_id = batch_id;
-      result.batch_requests = static_cast<std::int64_t>(batch.size());
+      result.batch_requests = batch_requests;
       result.batch_seeds = batch_seeds;
-      stats_.record_completion(result.latency, result.queue_wait);
+      m_completed_->add(1);
+      m_latency_->observe_seconds(result.latency);
+      m_queue_wait_->observe_seconds(result.queue_wait);
       request.promise.set_value(std::move(result));
     }
     const std::int64_t reply_end_ns = diag ? StageTracer::now_ns() : 0;
@@ -352,7 +342,7 @@ void InferenceServer::execute_batch(Worker& worker, std::vector<InferenceRequest
       // stages are shared; only the queue span is per-request.
       RequestTrace trace;
       trace.batch_id = batch_id;
-      trace.batch_requests = static_cast<std::int64_t>(batch.size());
+      trace.batch_requests = batch_requests;
       trace.batch_seeds = batch_seeds;
       trace.sample = {sample_begin_ns, sample_end_ns, true};
       trace.gather = {sample_end_ns, gather_end_ns, true};
@@ -377,10 +367,67 @@ void InferenceServer::execute_batch(Worker& worker, std::vector<InferenceRequest
   }
 }
 
+ServingSnapshot InferenceServer::stats() const {
+  const MetricsSnapshot snap = registry_->snapshot();
+  const auto count = [&](const char* name) {
+    return static_cast<std::int64_t>(snap.value(name));
+  };
+  ServingSnapshot s;
+  s.completed_requests = count("serving.requests_completed");
+  s.rejected_requests = count("serving.requests_rejected");
+  s.completed_batches = count("serving.batches");
+  const Seconds uptime = uptime_.elapsed();
+  if (uptime > 0.0) s.qps = static_cast<double>(s.completed_requests) / uptime;
+
+  const auto& latency = *snap.histogram("serving.latency_ms");
+  const auto& queue_wait = *snap.histogram("serving.queue_wait_ms");
+  s.latency_mean = latency.mean_ms() * 1e-3;
+  s.latency_p50 = latency.percentile_ms(0.50) * 1e-3;
+  s.latency_p95 = latency.percentile_ms(0.95) * 1e-3;
+  s.latency_p99 = latency.percentile_ms(0.99) * 1e-3;
+  s.latency_max = latency.max_ms * 1e-3;
+  s.queue_wait_mean = queue_wait.mean_ms() * 1e-3;
+  s.queue_wait_p50 = queue_wait.percentile_ms(0.50) * 1e-3;
+  s.queue_wait_p99 = queue_wait.percentile_ms(0.99) * 1e-3;
+  s.queue_wait_max = queue_wait.max_ms * 1e-3;
+  s.compute_mean = s.latency_mean - s.queue_wait_mean;
+
+  if (s.completed_batches > 0) {
+    s.mean_batch_requests = snap.value("serving.batch_requests_total") /
+                            static_cast<double>(s.completed_batches);
+  }
+  s.min_batch_requests = count("serving.min_batch_requests");
+  s.max_batch_requests = count("serving.max_batch_requests");
+
+  s.cache_hits = count("serving.cache_hits");
+  s.cache_misses = count("serving.cache_misses");
+  const std::int64_t lookups = s.cache_hits + s.cache_misses;
+  if (lookups > 0)
+    s.cache_hit_rate = static_cast<double>(s.cache_hits) / static_cast<double>(lookups);
+  s.device_bytes = snap.value("serving.cache_device_bytes");
+  s.host_bytes = snap.value("serving.cache_host_bytes");
+  return s;
+}
+
+std::string ServingSnapshot::to_string() const {
+  std::string out;
+  out += "requests=" + format_count(static_cast<std::uint64_t>(completed_requests));
+  out += " rejected=" + format_count(static_cast<std::uint64_t>(rejected_requests));
+  out += " qps=" + format_double(qps, 1);
+  out += " p50=" + format_double(latency_p50 * 1e3, 3) + "ms";
+  out += " p95=" + format_double(latency_p95 * 1e3, 3) + "ms";
+  out += " p99=" + format_double(latency_p99 * 1e3, 3) + "ms";
+  out += " queue_p99=" + format_double(queue_wait_p99 * 1e3, 3) + "ms";
+  out += " compute_mean=" + format_double(compute_mean * 1e3, 3) + "ms";
+  out += " batch=" + format_double(mean_batch_requests, 2);
+  out += " hit_rate=" + format_double(cache_hit_rate, 3);
+  return out;
+}
+
 void InferenceServer::maybe_rerank(std::int64_t gathered_rows) {
   const std::int64_t every = config_.cache_rerank_every_rows;
   if (every <= 0 || gathered_rows <= 0) return;
-  if (!backend_->has_cache()) return;
+  if (!backend_.has_cache()) return;
   const std::int64_t total =
       rerank_rows_.fetch_add(gathered_rows, std::memory_order_relaxed) + gathered_rows;
   std::int64_t due = rerank_due_.load(std::memory_order_relaxed);
@@ -391,7 +438,7 @@ void InferenceServer::maybe_rerank(std::int64_t gathered_rows) {
     const std::int64_t next = due + every * ((total - due) / every);
     if (!rerank_due_.compare_exchange_weak(due, next, std::memory_order_relaxed)) continue;
     traffic_reranks_.fetch_add(1, std::memory_order_relaxed);
-    backend_->rerank();
+    backend_.rerank();
     break;
   }
 }

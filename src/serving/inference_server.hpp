@@ -8,14 +8,22 @@
 //   requests -> release the snapshot.
 //
 // The server is MODE-BLIND: every mode-specific step above lives
-// behind ServingBackend (serving/backend.hpp).  The compat
-// constructors build the matching backend internally — static over the
-// dataset CSR, streaming over a StreamingGraph's latest published
-// version, sharded over a ShardedStreamingGraph's latest adopted cut —
-// and the seam constructor serves over any ServingBackend you hand it.
-// Each worker holds ONE BackendSession; snapshot isolation per
-// micro-batch (in-flight batches keep their version/cut until done) is
-// the session's acquire/release contract.
+// behind ServingBackend (serving/backend.hpp), and the one constructor
+// serves over whichever backend you hand it — make_static_backend over
+// the dataset CSR, make_streaming_backend over a StreamingGraph's
+// latest published version, make_sharded_backend over a
+// ShardedStreamingGraph's latest adopted cut.  Each worker holds ONE
+// BackendSession; snapshot isolation per micro-batch (in-flight batches
+// keep their version/cut until done) is the session's acquire/release
+// contract.
+//
+// Accounting: every completion, rejection, batch and gather is recorded
+// straight into the serving.* instruments of one MetricsRegistry —
+// config.telemetry's when set, else one the server owns — and stats()
+// reads its ServingSnapshot back from that registry, so the CLI, the
+// JSONL exporter, the flight record and the bench records all report
+// the same percentiles.  Servers sharing one Telemetry share these
+// instruments: their stats() report the combined traffic.
 //
 // Live model hot-swap: swap_model() stages a new ModelSnapshot under an
 // atomic model epoch; workers notice the epoch at the NEXT batch
@@ -39,46 +47,70 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "common/timer.hpp"
 #include "graph/datasets.hpp"
+#include "obs/metrics.hpp"
 #include "serving/backend.hpp"
 #include "serving/batcher.hpp"
 #include "serving/model_snapshot.hpp"
-#include "serving/serving_stats.hpp"
 
 namespace hyscale {
 
-class StreamingGraph;
-class ShardedStreamingGraph;
+/// Point-in-time view of a server's serving.* instruments with derived
+/// metrics — what the CLI, the load generator and the serving bench
+/// print.  Percentiles, means and maxima come from the registry's
+/// latency/queue-wait histograms (MetricsSnapshot::percentile_ms), so
+/// they are the numbers every registry export reports too.
+struct ServingSnapshot {
+  std::int64_t completed_requests = 0;
+  std::int64_t rejected_requests = 0;  ///< backpressure: bounded queue was full
+  std::int64_t completed_batches = 0;
+
+  double qps = 0.0;               ///< completed requests / server uptime
+
+  Seconds latency_mean = 0.0;     ///< enqueue -> result
+  Seconds latency_p50 = 0.0;
+  Seconds latency_p95 = 0.0;
+  Seconds latency_p99 = 0.0;
+  Seconds latency_max = 0.0;
+
+  /// Queue wait (enqueue -> worker pickup) reported separately from
+  /// compute (pickup -> result) so streaming-induced stalls — workers
+  /// busy against a hot version, compaction pressure — are attributable
+  /// to queuing rather than folded into one latency number.
+  Seconds queue_wait_mean = 0.0;
+  Seconds queue_wait_p50 = 0.0;
+  Seconds queue_wait_p99 = 0.0;
+  Seconds queue_wait_max = 0.0;
+  Seconds compute_mean = 0.0;     ///< latency_mean - queue_wait_mean, per request
+
+  double mean_batch_requests = 0.0;  ///< requests coalesced per micro-batch
+  std::int64_t min_batch_requests = 0;
+  std::int64_t max_batch_requests = 0;
+
+  std::int64_t cache_hits = 0;
+  std::int64_t cache_misses = 0;
+  double cache_hit_rate = 0.0;
+  double device_bytes = 0.0;
+  double host_bytes = 0.0;
+
+  std::string to_string() const;
+};
 
 class InferenceServer {
  public:
-  /// Static mode over `dataset` (must outlive the server); the snapshot
-  /// is consumed at construction (per-worker replicas are stamped out
-  /// immediately).
-  InferenceServer(const Dataset& dataset, const ModelSnapshot& snapshot,
-                  ServingConfig config = {});
-
-  /// Streaming mode: serve over `stream`'s latest published version.
-  /// `stream` (and its dataset) must outlive the server.
-  InferenceServer(StreamingGraph& stream, const ModelSnapshot& snapshot,
-                  ServingConfig config = {});
-
-  /// Sharded mode: serve over `sharded`'s latest ADOPTED cut.
-  /// `sharded` (and its dataset) must outlive the server.
-  InferenceServer(ShardedStreamingGraph& sharded, const ModelSnapshot& snapshot,
-                  ServingConfig config = {});
-
-  /// The seam: serve over any ServingBackend.  `backend` must outlive
-  /// the server and serve only this server; its cache.* gauges are
-  /// bound to config.telemetry's registry (if set) and stay registered
-  /// until the BACKEND dies.
+  /// Serves `snapshot` over `backend`; the snapshot is consumed at
+  /// construction (per-worker replicas are stamped out immediately).
+  /// `backend` must outlive the server and serve only this server; its
+  /// cache.* gauges are bound to config.telemetry's registry (if set)
+  /// and stay registered until the BACKEND dies.
   InferenceServer(ServingBackend& backend, const ModelSnapshot& snapshot,
                   ServingConfig config = {});
   ~InferenceServer();
@@ -87,7 +119,7 @@ class InferenceServer {
   InferenceServer& operator=(const InferenceServer&) = delete;
 
   /// Non-blocking submit.  Returns std::nullopt when the bounded queue
-  /// is full (backpressure — recorded in stats).  Throws
+  /// is full (backpressure — counted in serving.requests_rejected).  Throws
   /// std::invalid_argument for empty seed lists or out-of-range ids.
   std::optional<std::future<InferenceResult>> try_submit(std::vector<VertexId> seeds);
 
@@ -107,16 +139,16 @@ class InferenceServer {
   /// Current model epoch (1 = the construction snapshot).
   std::uint64_t model_epoch() const { return model_epoch_.load(std::memory_order_acquire); }
 
-  ServingSnapshot stats() const { return stats_.snapshot(); }
-  const StaticFeatureCache* cache() const { return backend_->cache(); }
+  /// Reads the serving.* instruments back from the registry they are
+  /// recorded in (see the accounting note above).
+  ServingSnapshot stats() const;
+  const StaticFeatureCache* cache() const { return backend_.cache(); }
   /// Shard `s`'s device cache (sharded mode with a cache configured;
   /// null otherwise).
-  const StaticFeatureCache* shard_cache(int s) const { return backend_->shard_cache(s); }
+  const StaticFeatureCache* shard_cache(int s) const { return backend_.shard_cache(s); }
   const ServingConfig& config() const { return config_; }
   int num_classes() const { return num_classes_; }
-  const ServingBackend& backend() const { return *backend_; }
-  bool streaming() const;
-  bool sharded() const;
+  const ServingBackend& backend() const { return backend_; }
   /// Traffic-triggered cache re-ranks this server has issued
   /// (cache_rerank_every_rows crossings; 0 when the cadence is off).
   std::int64_t traffic_reranks() const {
@@ -146,14 +178,8 @@ class InferenceServer {
     std::vector<char> hit_scratch;
   };
 
-  using BackendFactory = std::function<std::unique_ptr<ServingBackend>(const ServingConfig&)>;
-  /// Common construction: `factory` (compat modes) builds the owned
-  /// backend from the final config; null factory = borrowed `backend`.
-  InferenceServer(const BackendFactory& factory, ServingBackend* backend,
-                  const ModelSnapshot& snapshot, ServingConfig config);
-
   void init_workers(const ModelSnapshot& snapshot);
-  void bind_telemetry();
+  void bind_metrics();
   void worker_loop(Worker& worker);
   void execute_batch(Worker& worker, std::vector<InferenceRequest>& batch);
   /// Batch-boundary hot-swap pickup: re-instantiates the worker's model
@@ -168,11 +194,27 @@ class InferenceServer {
   ServingConfig config_;
   int num_classes_ = 0;
   int num_layers_ = 0;
-  std::unique_ptr<ServingBackend> owned_backend_;  ///< compat ctors only
-  ServingBackend* backend_ = nullptr;              ///< never null after construction
+  ServingBackend& backend_;
 
   DynamicBatcher batcher_;
-  ServingStats stats_;
+  Timer uptime_;
+  std::unique_ptr<MetricsRegistry> own_registry_;  ///< only when telemetry is off
+  MetricsRegistry* registry_ = nullptr;            ///< own_registry_ or telemetry's
+  // serving.* instruments on registry_; never null after construction.
+  Counter* m_completed_ = nullptr;
+  Counter* m_rejected_ = nullptr;
+  Counter* m_batches_ = nullptr;
+  Counter* m_seeds_ = nullptr;
+  Counter* m_batch_requests_ = nullptr;
+  Counter* m_cache_hits_ = nullptr;
+  Counter* m_cache_misses_ = nullptr;
+  Gauge* m_device_bytes_ = nullptr;
+  Gauge* m_host_bytes_ = nullptr;
+  Gauge* m_min_batch_ = nullptr;  ///< 0 until the first batch
+  Gauge* m_max_batch_ = nullptr;
+  Histogram* m_latency_ = nullptr;
+  Histogram* m_queue_wait_ = nullptr;
+
   std::vector<Worker> workers_;
   std::unique_ptr<ThreadPool> pool_;  ///< dedicated; keep after workers_ so it joins first
   std::atomic<std::uint64_t> next_request_id_{0};
@@ -191,8 +233,8 @@ class InferenceServer {
 
   StageTracer* tracer_ = nullptr;      ///< from config_.telemetry, may be null
   ExemplarRing* exemplars_ = nullptr;  ///< tail-trace ring, null when off
-  Gauge* m_served_version_ = nullptr;  ///< serving.last_served_version
-  Gauge* m_model_epoch_ = nullptr;     ///< model.epoch
+  Gauge* m_served_version_ = nullptr;  ///< serving.last_served_version (telemetry on)
+  Gauge* m_model_epoch_ = nullptr;     ///< model.epoch (telemetry on)
 };
 
 }  // namespace hyscale

@@ -6,8 +6,10 @@
 //                      sample -> gather -> release (static / streaming /
 //                      sharded implementations behind one seam)
 //   InferenceServer  — worker pool over one backend, with live model
-//                      hot-swap at batch boundaries
-//   ServingStats     — latency percentiles, QPS, batch shapes, hit rate
+//                      hot-swap at batch boundaries; stats() reads its
+//                      serving.* registry instruments back as a
+//                      ServingSnapshot (latency percentiles, QPS, batch
+//                      shapes, hit rate)
 //   LoadGenerator    — closed-loop benchmark driver
 #pragma once
 
@@ -16,7 +18,6 @@
 #include "serving/inference_server.hpp"
 #include "serving/load_generator.hpp"
 #include "serving/model_snapshot.hpp"
-#include "serving/serving_stats.hpp"
 #include "serving/sharded_backend.hpp"
 #include "serving/static_backend.hpp"
 #include "serving/streaming_backend.hpp"

@@ -334,7 +334,7 @@ class StreamingGraph : public ExpiryTarget {
 
   /// Serving gather: pinned rows from the attached cache's device copy,
   /// everything else from the feature store.  Returns hit/miss traffic
-  /// for ServingStats.  Also refreshes the last-touch stamps of every
+  /// for the serving.cache_* counters.  Also refreshes the last-touch stamps of every
   /// gathered streamed-in vertex (one batched pass), so a read-hot
   /// entity that is never re-written still survives TTL sweeps — true
   /// LRU, not write-only TTL.

@@ -4,7 +4,7 @@
 // retractions, vertex arrivals (with random feature rows), vertex
 // retirements, and feature refreshes against a StreamingGraph.
 // Publishing defaults to whoever owns the graph — normally the
-// SLO-driven background Publisher a StreamingSession runs — with an
+// SLO-driven background Publisher a streaming ServingSession runs — with an
 // optional fixed cadence (`publish_every` > 0) for deterministic
 // tests.  The cadence counts ATTEMPTED operations, accepted or not:
 // counting accepted ops only would let an adversarial mix of rejected

@@ -1,13 +1,22 @@
-// Refactor guard for the ServingBackend seam (src/serving/backend.hpp)
-// plus live model hot-swap.
+// Backend-equivalence suite for the ServingBackend seam
+// (src/serving/backend.hpp) plus live model hot-swap.
 //
-// Equivalence leg: the compat constructors (dataset / StreamingGraph /
-// ShardedStreamingGraph) and the explicit seam constructor
-// (make_*_backend + InferenceServer(backend, ...)) must produce
-// BIT-IDENTICAL logits in all three modes, at full-neighborhood
-// exactness and at sampled fanouts through an int8 device cache — the
-// refactor moved every mode branch behind the seam, and this suite is
-// what keeps the move value-neutral.
+// Equivalence leg: every backend, served through the one
+// InferenceServer constructor, must produce the same logits as a
+// reference computed by a DIFFERENT code path:
+//
+//   * static — full-neighborhood logits equal a direct
+//     sample_full + FeatureLoader + forward; sampled fp32 logits through
+//     a device cache equal the flat streaming backend over the same,
+//     unchurned dataset (NeighborSampler vs OverlaySampler, cache vs
+//     feature-store gather);
+//   * streaming — after churn (streamed-in vertices, inserts, a
+//     retraction), full-neighborhood and sampled fp32 logits equal a
+//     static backend over the Dataset rebuilt from scratch (the
+//     stream-vs-rebuild contract of test_stream_differential);
+//   * sharded — full-neighborhood fp32 and sampled int8-cached logits
+//     equal the flat streaming backend fed the same ops (the
+//     shard-vs-flat contract of test_shard_differential).
 //
 // Hot-swap leg: swap_model() under concurrent traffic must never tear
 // a batch — every served result matches exactly one of the staged
@@ -23,6 +32,7 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/hyscale.hpp"
@@ -81,51 +91,59 @@ void expect_bit_identical(const std::vector<Tensor>& actual,
   }
 }
 
-/// Two serving configs per mode: exact full-neighborhood fp32, and
-/// sampled fanouts through an int8 device cache (the hot path the
-/// refactor actually moved).
-std::vector<ServingConfig> probe_configs() {
-  ServingConfig exact;
-  exact.num_workers = 2;
+/// Exact full-neighborhood fp32 serving.
+ServingConfig exact_config() {
+  ServingConfig config;
+  config.num_workers = 2;
+  return config;
+}
 
-  ServingConfig sampled;
-  sampled.num_workers = 2;
-  sampled.fanouts = {4, 3};
-  sampled.cache_capacity_rows = 48;
-  sampled.transfer_precision = TransferPrecision::kInt8;
-  return {exact, sampled};
+/// Sampled fanouts through a half-graph device cache (hits AND misses).
+ServingConfig sampled_config(TransferPrecision precision) {
+  ServingConfig config;
+  config.num_workers = 2;
+  config.fanouts = {4, 3};
+  config.cache_capacity_rows = 48;
+  config.transfer_precision = precision;
+  return config;
 }
 
 // ----------------------------------------------------- equivalence: static
 
-TEST(BackendEquivalence, StaticSeamMatchesLegacyCtor) {
+TEST(BackendEquivalence, StaticMatchesIndependentReferences) {
   const Dataset& ds = community();
   GnnModel model(small_model_config());
   const ModelSnapshot snapshot(model);
   const auto sets = probe_seed_sets(ds.graph.num_vertices());
 
-  for (const ServingConfig& config : probe_configs()) {
-    std::vector<Tensor> legacy;
-    {
-      InferenceServer server(ds, snapshot, config);
-      EXPECT_STREQ(server.backend().name(), "static");
-      EXPECT_FALSE(server.streaming());
-      EXPECT_FALSE(server.sharded());
-      legacy = serve_probes(server, sets);
-    }
+  {
+    const ServingConfig config = exact_config();
     auto backend = make_static_backend(ds, config);
     InferenceServer server(*backend, snapshot, config);
-    expect_bit_identical(serve_probes(server, sets), legacy);
+    EXPECT_STREQ(server.backend().name(), "static");
+    std::vector<Tensor> expected;
+    for (const auto& seeds : sets) expected.push_back(direct_forward(model, ds, seeds));
+    expect_bit_identical(serve_probes(server, sets), expected);
   }
+
+  const ServingConfig config = sampled_config(TransferPrecision::kFp32);
+  StreamingGraph unchurned(ds, {});
+  auto reference_backend = make_streaming_backend(unchurned, config);
+  InferenceServer reference(*reference_backend, snapshot, config);
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, snapshot, config);
+  expect_bit_identical(serve_probes(server, sets), serve_probes(reference, sets));
 }
 
 // -------------------------------------------------- equivalence: streaming
+
+constexpr float kStreamedRowValue = 0.25f;
 
 /// A deterministic splash of churn: streamed-in vertices wired into the
 /// topology, edge inserts across communities, and a retraction — then a
 /// publish so queries can see it.
 void churn_and_publish(StreamingGraph& graph) {
-  const std::vector<float> row(8, 0.25f);
+  const std::vector<float> row(8, kStreamedRowValue);
   const VertexId a = graph.add_vertex(row);
   const VertexId b = graph.add_vertex(row);
   ASSERT_TRUE(graph.add_edge(a, 0));
@@ -136,61 +154,81 @@ void churn_and_publish(StreamingGraph& graph) {
   graph.publish();
 }
 
-TEST(BackendEquivalence, StreamingSeamMatchesLegacyCtor) {
+/// churn_and_publish's net effect as a from-scratch Dataset: the base
+/// edges plus the surviving inserts, and the two streamed-in rows.
+Dataset rebuilt_after_churn(const Dataset& ds) {
+  const VertexId a = ds.graph.num_vertices();
+  const VertexId b = a + 1;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId v = 0; v < a; ++v) {
+    for (VertexId u : ds.graph.neighbors(v)) edges.emplace_back(v, u);
+  }
+  edges.insert(edges.end(), {{b, 33}, {a, b}, {5, 70}});  // (a, 0) was retracted
+  Dataset rebuilt = ds;
+  rebuilt.graph = build_csr(b + 1, std::move(edges));  // symmetrize + sort + dedup
+  rebuilt.features = Tensor(b + 1, ds.features.cols(), kStreamedRowValue);
+  for (VertexId v = 0; v < a; ++v) {
+    const auto src = ds.features.row(v);
+    std::copy(src.begin(), src.end(), rebuilt.features.row(v).begin());
+  }
+  return rebuilt;
+}
+
+TEST(BackendEquivalence, StreamingMatchesStaticOverRebuild) {
   const Dataset& ds = community();
   GnnModel model(small_model_config());
   const ModelSnapshot snapshot(model);
+  const Dataset rebuilt = rebuilt_after_churn(ds);
 
-  for (const ServingConfig& config : probe_configs()) {
+  for (const ServingConfig& config :
+       {exact_config(), sampled_config(TransferPrecision::kFp32)}) {
     StreamingGraph graph(ds, {});
     churn_and_publish(graph);
-    const auto sets = probe_seed_sets(graph.current()->num_vertices());
+    ASSERT_EQ(graph.current()->num_vertices(), rebuilt.graph.num_vertices());
+    const auto sets = probe_seed_sets(rebuilt.graph.num_vertices());
 
-    std::vector<Tensor> legacy;
-    {
-      // Sequential servers: the backend attaches the device cache to
-      // the graph and detaches it on destruction, so the seam server
-      // below starts from the same clean attach state.
-      InferenceServer server(graph, snapshot, config);
-      EXPECT_STREQ(server.backend().name(), "streaming");
-      EXPECT_TRUE(server.streaming());
-      legacy = serve_probes(server, sets);
-    }
+    auto reference_backend = make_static_backend(rebuilt, config);
+    InferenceServer reference(*reference_backend, snapshot, config);
     auto backend = make_streaming_backend(graph, config);
     InferenceServer server(*backend, snapshot, config);
-    expect_bit_identical(serve_probes(server, sets), legacy);
+    EXPECT_STREQ(server.backend().name(), "streaming");
+    expect_bit_identical(serve_probes(server, sets), serve_probes(reference, sets));
     EXPECT_GT(server.last_served_version(), 0u);
   }
 }
 
 // ---------------------------------------------------- equivalence: sharded
 
-TEST(BackendEquivalence, ShardedSeamMatchesLegacyCtor) {
+TEST(BackendEquivalence, ShardedMatchesFlatStreaming) {
   const Dataset& ds = community();
   GnnModel model(small_model_config());
   const ModelSnapshot snapshot(model);
 
-  for (const ServingConfig& config : probe_configs()) {
+  for (const ServingConfig& config :
+       {exact_config(), sampled_config(TransferPrecision::kInt8)}) {
+    // The same ops on both graphs; no deletions, so the flat graph's
+    // id recycling cannot misalign the vertex spaces.
     ShardedConfig sharded_config;
     sharded_config.num_shards = 3;
     ShardedStreamingGraph sharded(ds, sharded_config);
-    const std::vector<float> row(8, 0.25f);
-    const VertexId a = sharded.add_vertex(row);
+    StreamingGraph flat(ds, {});
+    const std::vector<float> row(8, kStreamedRowValue);
+    ASSERT_EQ(sharded.add_vertex(row), flat.add_vertex(row));
+    const VertexId a = ds.graph.num_vertices();
     ASSERT_TRUE(sharded.add_edge(a, 0));
+    ASSERT_TRUE(flat.add_edge(a, 0));
     ASSERT_TRUE(sharded.add_edge(7, 64));
+    ASSERT_TRUE(flat.add_edge(7, 64));
     sharded.publish_all();
+    flat.publish();
     const auto sets = probe_seed_sets(sharded.current_cut()->num_vertices());
 
-    std::vector<Tensor> legacy;
-    {
-      InferenceServer server(sharded, snapshot, config);
-      EXPECT_STREQ(server.backend().name(), "sharded");
-      EXPECT_TRUE(server.sharded());
-      legacy = serve_probes(server, sets);
-    }
+    auto reference_backend = make_streaming_backend(flat, config);
+    InferenceServer reference(*reference_backend, snapshot, config);
     auto backend = make_sharded_backend(sharded, config);
     InferenceServer server(*backend, snapshot, config);
-    expect_bit_identical(serve_probes(server, sets), legacy);
+    EXPECT_STREQ(server.backend().name(), "sharded");
+    expect_bit_identical(serve_probes(server, sets), serve_probes(reference, sets));
   }
 }
 
@@ -207,20 +245,29 @@ TEST(BackendSeam, ServingStartJournalsBackendLabel) {
   ShardedStreamingGraph sharded(ds, sharded_config);
   sharded.publish_all();
 
-  const auto start_detail = [&](auto& target) {
+  const auto start_detail = [&](const auto& make_backend) {
     Telemetry telemetry;
     ServingConfig config;
     config.num_workers = 1;
     config.telemetry = &telemetry;
-    InferenceServer server(target, snapshot, config);
+    auto backend = make_backend(config);
+    InferenceServer server(*backend, snapshot, config);
     for (const JournalEvent& event : telemetry.journal().events()) {
       if (event.kind == "serving_start") return event.detail;
     }
     return std::string();
   };
-  EXPECT_NE(start_detail(ds).find("backend=static"), std::string::npos);
-  EXPECT_NE(start_detail(graph).find("backend=streaming"), std::string::npos);
-  EXPECT_NE(start_detail(sharded).find("backend=sharded"), std::string::npos);
+  EXPECT_NE(start_detail([&](const ServingConfig& c) { return make_static_backend(ds, c); })
+                .find("backend=static"),
+            std::string::npos);
+  EXPECT_NE(
+      start_detail([&](const ServingConfig& c) { return make_streaming_backend(graph, c); })
+          .find("backend=streaming"),
+      std::string::npos);
+  EXPECT_NE(
+      start_detail([&](const ServingConfig& c) { return make_sharded_backend(sharded, c); })
+          .find("backend=sharded"),
+      std::string::npos);
 }
 
 // ------------------------------------------------------------ model swap
@@ -234,7 +281,8 @@ TEST(ModelHotSwap, NextBatchServesTheNewEpoch) {
 
   ServingConfig config;  // full neighborhood: exact, oracle-comparable
   config.num_workers = 2;
-  InferenceServer server(ds, ModelSnapshot(model_a), config);
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, ModelSnapshot(model_a), config);
   EXPECT_EQ(server.model_epoch(), 1u);
 
   const std::vector<VertexId> seeds = {0, 17, 40, 95};
@@ -258,7 +306,8 @@ TEST(ModelHotSwap, NextBatchServesTheNewEpoch) {
 TEST(ModelHotSwap, RejectsMismatchedArchitecture) {
   const Dataset& ds = community();
   GnnModel model(small_model_config());
-  InferenceServer server(ds, ModelSnapshot(model), {});
+  auto backend = make_static_backend(ds, {});
+  InferenceServer server(*backend, ModelSnapshot(model), {});
 
   ModelConfig wrong_classes = small_model_config();
   wrong_classes.dims = {8, 16, 4};
@@ -299,7 +348,8 @@ TEST(ModelHotSwap, ConcurrentTrafficNeverTearsABatch) {
   // and shifts float rounding ~1e-7, which would drown the bitwise
   // oracle check this test is actually about.
   config.batch.max_batch_requests = 1;
-  InferenceServer server(ds, ModelSnapshot(model_a), config);
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, ModelSnapshot(model_a), config);
 
   std::atomic<int> torn{0};
   std::vector<std::thread> clients;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -180,6 +181,34 @@ TEST(ThreadPool, ParallelForSumMatchesSerial) {
     sum += local;
   });
   EXPECT_EQ(sum.load(), 10000L * 9999L / 2);
+}
+
+TEST(ThreadPool, ConcurrentParallelForCallersOnOneSmallPool) {
+  // Regression for the parallel_for latch: its mutex and condvar live
+  // on the caller's stack, and a pool worker used to signal the condvar
+  // AFTER unlocking, so a caller could wake, return and reuse that
+  // stack while the worker was still inside notify_one (TSan reports
+  // it as pthread_cond_destroy racing pthread_cond_signal).  Many
+  // short-lived latches from several callers at once is what exposes
+  // the window.
+  ThreadPool pool(2);
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 500;
+  std::atomic<long> total{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        std::atomic<long> sum{0};
+        pool.parallel_for(0, 8, [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) sum.fetch_add(static_cast<long>(i));
+        }, 4);
+        total.fetch_add(sum.load());
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(total.load(), static_cast<long>(kCallers) * kRounds * 28);  // 0 + ... + 7
 }
 
 }  // namespace

@@ -254,7 +254,8 @@ TEST(HotPathInt8, ServedLogitsMatchRoundTrippedReferenceWithinTolerance) {
     config.num_workers = 1;
     config.cache_capacity_rows = 48;  // half the graph: hits AND misses
     config.transfer_precision = precision;
-    InferenceServer server(stream, snapshot, config);
+    auto backend = make_streaming_backend(stream, config);
+    InferenceServer server(*backend, snapshot, config);
     return server.infer({0, 17, 40, 65, 95}).logits;
   };
 

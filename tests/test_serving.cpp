@@ -1,12 +1,15 @@
 // Tests for the online inference serving subsystem (src/serving/):
 // micro-batch coalescing and deadlines, bounded-queue backpressure,
 // served-vs-direct logit equivalence, determinism under a fixed seed,
-// checkpoint -> ModelSnapshot round-trips, and concurrent use of the
-// shared StaticFeatureCache.
+// checkpoint -> ModelSnapshot round-trips, stats() read back from the
+// serving.* registry instruments, and concurrent use of the shared
+// StaticFeatureCache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -42,76 +45,6 @@ InferenceRequest make_request(std::vector<VertexId> seeds) {
   request.seeds = std::move(seeds);
   request.enqueue_time = std::chrono::steady_clock::now();
   return request;
-}
-
-// ------------------------------------------------------------------ stats
-
-TEST(ServingStats, NearestRankPercentilesUseOneBasedRanks) {
-  // Regression for the nearest-rank off-by-one: ceil(q * n) is a
-  // 1-BASED rank and must be converted to a 0-based index.  Over the
-  // sorted samples {1, 2, 3, 4} ms, p50 is the 2nd smallest (rank
-  // ceil(0.5 * 4) = 2) — the buggy direct-index read served the 3rd.
-  ServingStats stats;
-  for (const Seconds latency : {0.004, 0.002, 0.001, 0.003}) {
-    stats.record_completion(latency, /*queue_wait=*/latency / 2);
-  }
-  const ServingSnapshot s = stats.snapshot();
-  EXPECT_DOUBLE_EQ(s.latency_p50, 0.002);
-  EXPECT_DOUBLE_EQ(s.latency_p95, 0.004);  // rank ceil(0.95 * 4) = 4 -> largest
-  EXPECT_DOUBLE_EQ(s.latency_p99, 0.004);
-  EXPECT_DOUBLE_EQ(s.queue_wait_p50, 0.001);
-}
-
-TEST(ServingStats, PercentilesOfSingleSampleAreThatSample) {
-  ServingStats stats;
-  stats.record_completion(0.007);
-  const ServingSnapshot s = stats.snapshot();
-  EXPECT_DOUBLE_EQ(s.latency_p50, 0.007);
-  EXPECT_DOUBLE_EQ(s.latency_p95, 0.007);
-  EXPECT_DOUBLE_EQ(s.latency_p99, 0.007);
-}
-
-TEST(ServingStats, PercentilesMatchNearestRankOnHundredSamples) {
-  // 1..100 ms: nearest-rank pN is exactly the Nth smallest sample.
-  ServingStats stats;
-  for (int i = 100; i >= 1; --i) stats.record_completion(static_cast<Seconds>(i) * 1e-3);
-  const ServingSnapshot s = stats.snapshot();
-  EXPECT_DOUBLE_EQ(s.latency_p50, 0.050);
-  EXPECT_DOUBLE_EQ(s.latency_p95, 0.095);
-  EXPECT_DOUBLE_EQ(s.latency_p99, 0.099);
-}
-
-TEST(ServingStats, ReservoirPercentilesStayStablePastTheCap) {
-  // Regression for the latency-retention policy: the reservoir
-  // (Vitter's Algorithm R, bounded to kLatencyWindow samples) keeps a
-  // uniform sample of the WHOLE run, so percentiles past the cap stay
-  // near the true distribution instead of sliding to a recent window.
-  // Feed a scrambled permutation of {1..n} µs at 4x the cap: every
-  // true quantile is exact by construction.
-  ServingStats stats;
-  const std::int64_t n = 4 * (1 << 16);
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::int64_t k = (i * 92821) % n + 1;  // odd stride: a permutation of 1..n
-    const Seconds latency = static_cast<Seconds>(k) * 1e-6;
-    stats.record_completion(latency, /*queue_wait=*/latency / 2);
-  }
-  const ServingSnapshot s = stats.snapshot();
-  EXPECT_EQ(s.completed_requests, n);
-  // Means and max are exact (tracked over ALL completions, not sampled).
-  EXPECT_DOUBLE_EQ(s.latency_max, static_cast<Seconds>(n) * 1e-6);
-  EXPECT_NEAR(s.latency_mean, 0.5 * (n + 1) * 1e-6, 1e-9 * n);
-  // Percentile estimates from the reservoir: the sampling error of a
-  // quantile over 2^16 uniform samples is ~0.2% of the range; +-2% is
-  // far outside any plausible noise but catches a windowed/biased
-  // retention scheme (a sliding window would read ~top-25% here).
-  const double tol = 0.02 * static_cast<double>(n) * 1e-6;
-  EXPECT_NEAR(s.latency_p50, 0.50 * n * 1e-6, tol);
-  EXPECT_NEAR(s.latency_p95, 0.95 * n * 1e-6, tol);
-  EXPECT_NEAR(s.latency_p99, 0.99 * n * 1e-6, tol);
-  // The queue-wait reservoir is replaced in lockstep (same draw), so
-  // its quantiles track half the latency distribution.
-  EXPECT_NEAR(s.queue_wait_p50, 0.25 * n * 1e-6, tol);
-  EXPECT_NEAR(s.queue_wait_p99, 0.495 * n * 1e-6, tol);
 }
 
 // ---------------------------------------------------------------- batcher
@@ -214,7 +147,8 @@ TEST(InferenceServer, ServedLogitsMatchDirectForward) {
 
   ServingConfig config;  // empty fanouts = full neighborhood (exact)
   config.num_workers = 2;
-  InferenceServer server(ds, snapshot, config);
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, snapshot, config);
 
   const std::vector<VertexId> seeds = {0, 17, 40, 95};
   const InferenceResult result = server.infer(seeds);
@@ -242,7 +176,8 @@ TEST(InferenceServer, CoalescesConcurrentRequestsIntoOneMicroBatch) {
   config.num_workers = 1;
   config.batch.max_batch_requests = 4;
   config.batch.max_wait = 0.5;  // generous: submissions land well inside it
-  InferenceServer server(ds, snapshot, config);
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, snapshot, config);
 
   std::vector<std::future<InferenceResult>> futures;
   for (VertexId v = 0; v < 4; ++v) {
@@ -272,7 +207,8 @@ TEST(InferenceServer, RespectsDeadlineForLonelyRequest) {
   config.num_workers = 1;
   config.batch.max_batch_requests = 64;  // never filled by one request
   config.batch.max_wait = 0.02;
-  InferenceServer server(ds, snapshot, config);
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, snapshot, config);
 
   const InferenceResult result = server.infer({3});
   EXPECT_EQ(result.batch_requests, 1);
@@ -290,7 +226,8 @@ TEST(InferenceServer, BackpressureRejectsAndRecovers) {
   config.batch.max_batch_requests = 1;
   config.batch.max_wait = 0.0;
   config.batch.queue_capacity = 1;
-  InferenceServer server(ds, snapshot, config);
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, snapshot, config);
 
   std::vector<std::future<InferenceResult>> accepted;
   std::int64_t rejected = 0;
@@ -320,12 +257,14 @@ TEST(InferenceServer, SampledFanoutsAreDeterministicUnderFixedSeed) {
   config.num_workers = 2;  // determinism must not depend on which worker serves
   const std::vector<VertexId> seeds = {5, 44, 80};
 
-  InferenceServer server_a(ds, snapshot, config);
+  auto backend_a = make_static_backend(ds, config);
+  InferenceServer server_a(*backend_a, snapshot, config);
   const Tensor first = server_a.infer(seeds).logits;
   const Tensor again = server_a.infer(seeds).logits;  // same server, later batch
   EXPECT_DOUBLE_EQ(Tensor::max_abs_diff(first, again), 0.0);
 
-  InferenceServer server_b(ds, snapshot, config);  // fresh server, same seed
+  auto backend_b = make_static_backend(ds, config);
+  InferenceServer server_b(*backend_b, snapshot, config);  // fresh server, same seed
   EXPECT_DOUBLE_EQ(Tensor::max_abs_diff(first, server_b.infer(seeds).logits), 0.0);
 }
 
@@ -333,14 +272,16 @@ TEST(InferenceServer, InvalidSubmissionsThrow) {
   const Dataset& ds = community();
   GnnModel model(small_model_config());
   const ModelSnapshot snapshot(model);
-  InferenceServer server(ds, snapshot, {});
+  auto backend = make_static_backend(ds, {});
+  InferenceServer server(*backend, snapshot, {});
   EXPECT_THROW(server.try_submit({}), std::invalid_argument);
   EXPECT_THROW(server.try_submit({ds.graph.num_vertices()}), std::invalid_argument);
   EXPECT_THROW(server.try_submit({-1}), std::invalid_argument);
 
   ServingConfig bad;
   bad.fanouts = {3};  // model has 2 layers
-  EXPECT_THROW(InferenceServer(ds, snapshot, bad), std::invalid_argument);
+  auto bad_backend = make_static_backend(ds, bad);
+  EXPECT_THROW(InferenceServer(*bad_backend, snapshot, bad), std::invalid_argument);
 }
 
 TEST(InferenceServer, CachedGathersMatchUncachedAndReportTraffic) {
@@ -350,8 +291,10 @@ TEST(InferenceServer, CachedGathersMatchUncachedAndReportTraffic) {
 
   ServingConfig cached;
   cached.cache_capacity_rows = ds.graph.num_vertices() / 4;
-  InferenceServer cached_server(ds, snapshot, cached);
-  InferenceServer plain_server(ds, snapshot, {});
+  auto cached_backend = make_static_backend(ds, cached);
+  auto plain_backend = make_static_backend(ds, {});
+  InferenceServer cached_server(*cached_backend, snapshot, cached);
+  InferenceServer plain_server(*plain_backend, snapshot, {});
 
   const std::vector<VertexId> seeds = {2, 31, 64, 90};
   const Tensor a = cached_server.infer(seeds).logits;
@@ -362,6 +305,97 @@ TEST(InferenceServer, CachedGathersMatchUncachedAndReportTraffic) {
   EXPECT_GT(stats.cache_hits + stats.cache_misses, 0);
   EXPECT_GT(stats.cache_hit_rate, 0.0);  // degree-ordered cache must hit some
   EXPECT_GT(stats.host_bytes + stats.device_bytes, 0.0);
+}
+
+// ------------------------------------------------------------------ stats
+
+TEST(InferenceServer, StatsCountExactlyAndSplitQueueWaitWithTelemetryOff) {
+  // Telemetry off: the server records into a registry it owns, and
+  // stats() reads the counts back exactly.
+  const Dataset& ds = community();
+  GnnModel model(small_model_config());
+  const ModelSnapshot snapshot(model);
+
+  ServingConfig config;
+  config.num_workers = 2;
+  config.batch.max_batch_requests = 3;
+  config.batch.max_wait = 1e-3;
+  config.cache_capacity_rows = ds.graph.num_vertices() / 4;
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, snapshot, config);
+
+  constexpr int kRequests = 24;
+  std::vector<std::future<InferenceResult>> futures;
+  for (int i = 0; i < kRequests; ++i) {
+    auto f = server.try_submit({static_cast<VertexId>(i), static_cast<VertexId>(i + 40)});
+    ASSERT_TRUE(f.has_value());
+    futures.push_back(std::move(*f));
+  }
+  std::set<std::uint64_t> batch_ids;
+  std::int64_t min_batch = kRequests;
+  std::int64_t max_batch = 0;
+  for (auto& f : futures) {
+    const InferenceResult r = f.get();
+    batch_ids.insert(r.batch_id);
+    min_batch = std::min(min_batch, r.batch_requests);
+    max_batch = std::max(max_batch, r.batch_requests);
+  }
+
+  const ServingSnapshot stats = server.stats();
+  EXPECT_EQ(stats.completed_requests, kRequests);
+  EXPECT_EQ(stats.rejected_requests, 0);
+  EXPECT_EQ(stats.completed_batches, static_cast<std::int64_t>(batch_ids.size()));
+  EXPECT_DOUBLE_EQ(stats.mean_batch_requests,
+                   static_cast<double>(kRequests) / static_cast<double>(batch_ids.size()));
+  EXPECT_EQ(stats.min_batch_requests, min_batch);
+  EXPECT_EQ(stats.max_batch_requests, max_batch);
+  EXPECT_GT(stats.cache_hits + stats.cache_misses, 0);
+  EXPECT_GT(stats.qps, 0.0);
+
+  // Compute is what the latency leaves after the queue wait.
+  EXPECT_GT(stats.latency_mean, 0.0);
+  EXPECT_GE(stats.latency_mean, stats.queue_wait_mean);
+  EXPECT_DOUBLE_EQ(stats.compute_mean, stats.latency_mean - stats.queue_wait_mean);
+  EXPECT_LE(stats.latency_p50, stats.latency_p99);
+  EXPECT_LE(stats.latency_p99, stats.latency_max);
+  EXPECT_LE(stats.queue_wait_p50, stats.queue_wait_p99);
+  EXPECT_LE(stats.queue_wait_p99, stats.queue_wait_max);
+}
+
+TEST(InferenceServer, StatsPercentilesAreTheRegistryPercentiles) {
+  // One accounting path: with telemetry bound, stats() (what the CLI
+  // prints) and every registry export report the same percentiles.
+  const Dataset& ds = community();
+  GnnModel model(small_model_config());
+  const ModelSnapshot snapshot(model);
+
+  Telemetry telemetry;
+  ServingConfig config;
+  config.num_workers = 2;
+  config.telemetry = &telemetry;
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, snapshot, config);
+
+  constexpr int kRequests = 32;
+  std::vector<std::future<InferenceResult>> futures;
+  for (int i = 0; i < kRequests; ++i) {
+    auto f = server.try_submit({static_cast<VertexId>((i * 7) % ds.graph.num_vertices())});
+    ASSERT_TRUE(f.has_value());
+    futures.push_back(std::move(*f));
+  }
+  for (auto& f : futures) f.get();
+
+  const ServingSnapshot stats = server.stats();
+  const MetricsSnapshot registry = telemetry.registry().snapshot();
+  EXPECT_EQ(stats.completed_requests, kRequests);
+  EXPECT_EQ(registry.value("serving.requests_completed"), kRequests);
+  EXPECT_DOUBLE_EQ(stats.latency_p50, registry.percentile_ms("serving.latency_ms", 0.50) * 1e-3);
+  EXPECT_DOUBLE_EQ(stats.latency_p99, registry.percentile_ms("serving.latency_ms", 0.99) * 1e-3);
+  EXPECT_DOUBLE_EQ(stats.queue_wait_p50,
+                   registry.percentile_ms("serving.queue_wait_ms", 0.50) * 1e-3);
+  EXPECT_DOUBLE_EQ(stats.queue_wait_p99,
+                   registry.percentile_ms("serving.queue_wait_ms", 0.99) * 1e-3);
+  EXPECT_DOUBLE_EQ(stats.latency_max, registry.histogram("serving.latency_ms")->max_ms * 1e-3);
 }
 
 // ------------------------------------------------- checkpoint round-trip
@@ -383,7 +417,8 @@ TEST(ModelSnapshot, CheckpointRoundTripServesIdenticalLogits) {
   const ModelSnapshot snapshot(trainer.model().config(), path);
   std::remove(path.c_str());
 
-  InferenceServer server(ds, snapshot, {});
+  auto backend = make_static_backend(ds, {});
+  InferenceServer server(*backend, snapshot, {});
   const std::vector<VertexId> seeds = {1, 7, 100, 555};
   const Tensor served = server.infer(seeds).logits;
   const Tensor expected = direct_forward(trainer.model(), ds, seeds);
@@ -437,7 +472,8 @@ TEST(LoadGenerator, ClosedLoopSessionCompletesAllRequests) {
   config.num_workers = 2;
   config.batch.max_wait = 1e-3;
   config.cache_capacity_rows = 24;
-  InferenceServer server(ds, snapshot, config);
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, snapshot, config);
 
   LoadGeneratorConfig load;
   load.num_clients = 3;
@@ -471,8 +507,11 @@ TEST(HyScaleFacade, TrainThenServe) {
   ServingConfig serving;
   serving.fanouts = {5, 5};
   serving.cache_capacity_rows = 128;
-  auto server = system.serve(serving);
-  const InferenceResult result = server->infer({0, 42});
+  ServingSession session = system.serve(serving);
+  EXPECT_STREQ(session.backend->name(), "static");
+  EXPECT_EQ(session.graph, nullptr);
+  EXPECT_EQ(session.sharded, nullptr);
+  const InferenceResult result = session.infer({0, 42});
   EXPECT_EQ(result.logits.rows(), 2);
   EXPECT_EQ(result.logits.cols(), ds.info.f2);
   EXPECT_EQ(result.predictions.size(), 2u);

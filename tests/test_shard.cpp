@@ -296,9 +296,9 @@ TEST(ShardedServing, ServerRoutesAndMatchesDirectForward) {
   const ModelSnapshot snapshot(model);
   ServingConfig config;
   config.num_workers = 2;
-  InferenceServer server(graph, snapshot, config);
-  EXPECT_TRUE(server.sharded());
-  EXPECT_FALSE(server.streaming());
+  auto backend = make_sharded_backend(graph, config);
+  InferenceServer server(*backend, snapshot, config);
+  EXPECT_STREQ(server.backend().name(), "sharded");
 
   // Full-neighborhood mode over the untouched base: logits must be
   // EXACTLY the direct computation on the dataset.
@@ -329,7 +329,8 @@ TEST(ShardedServing, PerShardCachesAttachAndDetach) {
   config.cache_capacity_rows = 16;
   config.transfer_precision = TransferPrecision::kInt8;
   {
-    InferenceServer server(graph, snapshot, config);
+    auto backend = make_sharded_backend(graph, config);
+    InferenceServer server(*backend, snapshot, config);
     for (int s = 0; s < graph.num_shards(); ++s) {
       ASSERT_NE(server.shard_cache(s), nullptr) << "shard " << s;
     }
@@ -355,7 +356,8 @@ TEST(ShardedServing, TrafficRerankCadenceFiresWithoutFolds) {
   config.num_workers = 1;
   config.cache_capacity_rows = 8;
   config.cache_rerank_every_rows = 32;
-  InferenceServer server(graph, snapshot, config);
+  auto backend = make_sharded_backend(graph, config);
+  InferenceServer server(*backend, snapshot, config);
   for (int i = 0; i < 12; ++i) {
     (void)server.infer({static_cast<VertexId>(i), static_cast<VertexId>(i + 20)});
   }
@@ -378,7 +380,8 @@ TEST(ShardedServing, StaticModeTrafficRerankUsesAccessCounters) {
   config.num_workers = 1;
   config.cache_capacity_rows = 8;
   config.cache_rerank_every_rows = 24;
-  InferenceServer server(ds, snapshot, config);
+  auto backend = make_static_backend(ds, config);
+  InferenceServer server(*backend, snapshot, config);
   for (int i = 0; i < 10; ++i) {
     (void)server.infer({static_cast<VertexId>(ds.graph.num_vertices() - 1 - i)});
   }
@@ -401,7 +404,7 @@ TEST(ShardedServing, SessionLifecycleRunsCleanly) {
   publisher.poll_floor = 0.001;
   CutAdopterPolicy adopter;
   adopter.poll_interval = 0.001;
-  ShardedStreamingSession session =
+  ServingSession session =
       system.stream_sharded(sharded, serving, CompactionPolicy{}, publisher, adopter);
   EXPECT_EQ(session.compactors.size(), 2u);
   EXPECT_EQ(session.publishers.size(), 2u);

@@ -4,10 +4,9 @@
 // overlay-sampler distribution vs. a rebuilt CSR, tombstone edge cases
 // (double delete, delete-pending, delete-then-reinsert across a
 // compaction boundary, isolated vertices, vertex retirement + id
-// recycling), compaction exactness for unchanged vertices,
-// cache-invalidation/eviction freshness, and the queue-wait/compute
-// split in ServingStats.  The randomized stream-vs-rebuild harness
-// lives in test_stream_differential.cpp.
+// recycling), compaction exactness for unchanged vertices, and
+// cache-invalidation/eviction freshness.  The randomized
+// stream-vs-rebuild harness lives in test_stream_differential.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -370,10 +369,12 @@ TEST(StreamingServing, MatchesStaticServerBeforeAnyUpdates) {
 
   ServingConfig config;       // full neighborhood: exact logits
   config.num_workers = 1;
-  InferenceServer static_server(ds, snapshot, config);
+  auto static_backend = make_static_backend(ds, config);
+  InferenceServer static_server(*static_backend, snapshot, config);
   StreamingGraph graph(ds);
-  InferenceServer streaming_server(graph, snapshot, config);
-  EXPECT_TRUE(streaming_server.streaming());
+  auto streaming_backend = make_streaming_backend(graph, config);
+  InferenceServer streaming_server(*streaming_backend, snapshot, config);
+  EXPECT_STREQ(streaming_server.backend().name(), "streaming");
 
   const std::vector<VertexId> seeds = {1, 17, 33};
   const InferenceResult expected = static_server.infer(seeds);
@@ -389,7 +390,8 @@ TEST(StreamingServing, QueriesSeePublishedUpdates) {
   ServingConfig config;
   config.num_workers = 1;
   StreamingGraph graph(ds);
-  InferenceServer server(graph, snapshot, config);
+  auto backend = make_streaming_backend(graph, config);
+  InferenceServer server(*backend, snapshot, config);
 
   const std::vector<VertexId> seeds = {0};
   const InferenceResult before = server.infer(seeds);
@@ -409,7 +411,8 @@ TEST(StreamingServing, QueriesSeePublishedUpdates) {
   union_edges.emplace_back(0, 10);
   Dataset updated = two_component_dataset();
   updated.graph = build_csr(ds.graph.num_vertices(), std::move(union_edges));
-  InferenceServer reference(updated, snapshot, config);
+  auto reference_backend = make_static_backend(updated, config);
+  InferenceServer reference(*reference_backend, snapshot, config);
   const InferenceResult expected = reference.infer(seeds);
   EXPECT_DOUBLE_EQ(Tensor::max_abs_diff(after.logits, expected.logits), 0.0);
 }
@@ -422,7 +425,8 @@ TEST(StreamingServing, CompactionPreservesExactLogitsForUnchangedVertices) {
   ServingConfig config;  // full neighborhood: deterministic by construction
   config.num_workers = 2;
   StreamingGraph graph(ds);
-  InferenceServer server(graph, snapshot, config);
+  auto backend = make_streaming_backend(graph, config);
+  InferenceServer server(*backend, snapshot, config);
 
   // Mutate component A only (vertices < 20).
   ASSERT_TRUE(graph.add_edge(0, 5));
@@ -451,7 +455,8 @@ TEST(StreamingServing, CacheInvalidationPreventsStaleFeatures) {
   config.num_workers = 1;
   config.cache_capacity_rows = ds.graph.num_vertices();  // everything pinned
   StreamingGraph graph(ds);
-  InferenceServer server(graph, snapshot, config);
+  auto backend = make_streaming_backend(graph, config);
+  InferenceServer server(*backend, snapshot, config);
 
   const std::vector<VertexId> seeds = {22};
   const InferenceResult before = server.infer(seeds);
@@ -472,7 +477,8 @@ TEST(StreamingServing, CacheInvalidationPreventsStaleFeatures) {
   // Freshness is exact: identical to a static server over the updated
   // dataset (all rows pinned, so every gather goes through the device
   // copies the invalidation hook refreshed).
-  InferenceServer reference(updated, snapshot, config);
+  auto reference_backend = make_static_backend(updated, config);
+  InferenceServer reference(*reference_backend, snapshot, config);
   const InferenceResult expected = reference.infer(seeds);
   EXPECT_DOUBLE_EQ(Tensor::max_abs_diff(after.logits, expected.logits), 0.0);
   EXPECT_EQ(server.cache()->invalidations(), 3);
@@ -505,21 +511,6 @@ TEST(FeatureCacheInvalidate, RefreshesDeviceRowsAndResetsWindow) {
   cache.load(sampler.sample({3}), x);
   EXPECT_GT(cache.since_invalidate().hits, 0);
   EXPECT_GT(cache.totals().hits, cache.since_invalidate().hits);
-}
-
-TEST(ServingStats, SplitsQueueWaitFromCompute) {
-  ServingStats stats;
-  stats.record_completion(/*latency=*/0.010, /*queue_wait=*/0.004);
-  stats.record_completion(/*latency=*/0.020, /*queue_wait=*/0.012);
-  const ServingSnapshot s = stats.snapshot();
-  EXPECT_DOUBLE_EQ(s.latency_mean, 0.015);
-  EXPECT_DOUBLE_EQ(s.queue_wait_mean, 0.008);
-  EXPECT_DOUBLE_EQ(s.compute_mean, 0.007);
-  EXPECT_DOUBLE_EQ(s.queue_wait_max, 0.012);
-  EXPECT_DOUBLE_EQ(s.queue_wait_p50, 0.004);
-  EXPECT_DOUBLE_EQ(s.queue_wait_p99, 0.012);
-  stats.reset();
-  EXPECT_DOUBLE_EQ(stats.snapshot().queue_wait_mean, 0.0);
 }
 
 // -------------------------------------------------------------- tombstones
@@ -832,7 +823,8 @@ TEST(FeatureCacheEvict, DeletedVertexIsNeverServedFromCache) {
   config.num_workers = 1;
   config.cache_capacity_rows = ds.graph.num_vertices();  // everything pinned
   StreamingGraph graph(ds);
-  InferenceServer server(graph, snapshot, config);
+  auto backend = make_streaming_backend(graph, config);
+  InferenceServer server(*backend, snapshot, config);
 
   ASSERT_TRUE(server.cache()->cached(21));
   ASSERT_TRUE(graph.remove_vertex(21));
@@ -854,7 +846,8 @@ TEST(FeatureCacheEvict, DeletedVertexIsNeverServedFromCache) {
   options.symmetrize = false;
   updated.graph = build_csr(ds.graph.num_vertices(), std::move(live), options);
   for (std::int64_t j = 0; j < updated.features.cols(); ++j) updated.features.at(21, j) = 0.0f;
-  InferenceServer reference(updated, snapshot, config);
+  auto reference_backend = make_static_backend(updated, config);
+  InferenceServer reference(*reference_backend, snapshot, config);
 
   // The dead vertex itself and its ex-neighbors must match exactly.
   for (const std::vector<VertexId>& seeds :
@@ -923,7 +916,7 @@ TEST(UpdateGenerator, ReportMatchesGraphCounters) {
   EXPECT_TRUE(graph.current()->validate());
 }
 
-TEST(StreamingSession, FacadeServesMixedLoadEndToEnd) {
+TEST(ServingSession, FacadeServesMixedLoadEndToEnd) {
   const Dataset& ds = community();
   HybridTrainerConfig train_config;
   train_config.fanouts = {4, 4};
@@ -938,7 +931,7 @@ TEST(StreamingSession, FacadeServesMixedLoadEndToEnd) {
   serving.cache_capacity_rows = 32;
   CompactionPolicy compaction;
   compaction.max_overlay_edges = 128;
-  StreamingSession session = system.stream(serving, {}, compaction);
+  ServingSession session = system.stream(serving, {}, compaction);
 
   UpdateGeneratorConfig updates;
   updates.operations = 150;

@@ -895,7 +895,7 @@ TEST(UpdateGenerator, RecentDeleteChurnProducesAnnihilatableOps) {
 
 // -------------------------------------------------------- session facade
 
-TEST(StreamingSession, LifecycleThreadsServeChurnEndToEnd) {
+TEST(ServingSession, LifecycleThreadsServeChurnEndToEnd) {
   const Dataset& ds = community();
   HybridTrainerConfig train_config;
   train_config.fanouts = {4, 4};
@@ -914,7 +914,7 @@ TEST(StreamingSession, LifecycleThreadsServeChurnEndToEnd) {
   ExpiryPolicy expiry;
   expiry.ttl = 0.020;
   expiry.sweep_interval = 2e-3;
-  StreamingSession session = system.stream(serving, {}, compaction, publisher, expiry);
+  ServingSession session = system.stream(serving, {}, compaction, publisher, expiry);
   ASSERT_NE(session.publisher(), nullptr);
   ASSERT_NE(session.sweeper, nullptr);
   // kDeriveFromCompaction resolved against the compaction trigger.
