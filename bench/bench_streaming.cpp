@@ -32,8 +32,9 @@
 // so the stall this point once exhibited cannot silently return.
 //
 // The nested `sharded` record (PR-9) is the shard-scaling sweep: the
-// same mixed 90/10 and delete-heavy feeds replayed against 1-, 2- and
-// 4-shard partition-routed deployments (per-shard Compactor + SLO
+// same mixed 90/10 and delete-heavy feeds, from the same UpdateGenerator
+// that drives the flat points, replayed against 1-, 2- and 4-shard
+// partition-routed deployments (per-shard Compactor + SLO
 // Publisher, CutAdopter folding publishes into consistent cuts).  Each
 // point carries the facade's logical op counters, the halo-plane
 // instruments (halo hits vs cross-shard owner fetches), and a
@@ -326,8 +327,8 @@ int main() {
       updates.pacing = point.pacing;
       updates.seed = 23;
       std::thread update_thread([&session, updates] {
-        ShardedUpdateDriver driver(session.shards(), updates);
-        (void)driver.run();
+        UpdateGenerator generator(session.shards(), updates);
+        (void)generator.run();
       });
 
       LoadGeneratorConfig load;

@@ -23,15 +23,25 @@
 //        [--compact-edges N] [--compact-ratio R] [--no-annihilate] \
 //        [--slo-ms 5] [--ttl-ms 50] [--sweep-ms 10] [--publish-every N]
 //
+// Each mode's flags are one table (stream's is serve's plus its own);
+// one engine parses every table and prints its usage.  Every value is
+// checked while parsing, before any dataset is built: a malformed,
+// out-of-range or unknown value, an unknown flag or a missing value
+// exits 2 with the flag named on stderr.  A failure while running
+// exits 1.
+//
 // Prints per-epoch reports (train), p50/p99 latency, QPS, batch-size
 // and cache statistics (serve), plus ingest rate, publish lag and
 // queue-wait/compute split (stream).
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/strutil.hpp"
@@ -41,9 +51,227 @@ using namespace hyscale;
 
 namespace {
 
-struct CliOptions {
+// ------------------------------------------------------------- flag tables
+
+/// One command-line flag.  `metavar` is what the usage line shows after
+/// the name; a flag without one is a switch and takes no value.
+/// `apply` stores a value and returns "" or, when it rejects the value,
+/// what a valid one looks like.
+struct Flag {
+  std::string name;
+  std::string metavar;
+  std::function<std::string(std::string_view)> apply;
+};
+
+/// A mode's flag table, the paragraph its usage prints under the
+/// synopsis, and the checks that span several flags (run after parsing,
+/// "" = pass).
+struct Mode {
+  std::string command;  ///< "" for training, else "serve" or "stream"
+  std::vector<Flag> flags;
+  std::string about;
+  std::function<std::string()> check = [] { return std::string(); };
+};
+
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return !text.empty() && ec == std::errc() && ptr == end;
+}
+
+template <typename T>
+std::string show(T value) {
+  if constexpr (std::is_integral_v<T>) {
+    return std::to_string(value);
+  } else {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", value);
+    return buf;
+  }
+}
+
+/// A whole-token number in [lo, hi] (or (lo, hi] when `lo_open`).
+/// Doubles must be finite.
+template <typename T>
+Flag number(std::string name, std::string metavar, T& out, std::type_identity_t<T> lo,
+            std::type_identity_t<T> hi = std::numeric_limits<T>::max(), bool lo_open = false) {
+  std::string expect = std::is_integral_v<T> ? "an integer" : "a number";
+  if (hi == std::numeric_limits<T>::max()) {
+    if (lo != std::numeric_limits<T>::lowest()) expect += (lo_open ? " > " : " >= ") + show(lo);
+  } else {
+    expect += " in " + std::string(lo_open ? "(" : "[") + show(lo) + ", " + show(hi) + "]";
+  }
+  return {std::move(name), std::move(metavar),
+          [&out, lo, hi, lo_open, expect](std::string_view value) {
+            T parsed{};
+            if (!parse_number(value, parsed) || !(lo_open ? parsed > lo : parsed >= lo) ||
+                !(parsed <= hi)) {
+              return expect;
+            }
+            out = parsed;
+            return std::string();
+          }};
+}
+
+Flag positive(std::string name, std::string metavar, double& out) {
+  return number(std::move(name), std::move(metavar), out, 0.0,
+                std::numeric_limits<double>::max(), /*lo_open=*/true);
+}
+
+Flag text(std::string name, std::string metavar, std::string& out) {
+  return {std::move(name), std::move(metavar), [&out](std::string_view value) {
+            out = value;
+            return std::string();
+          }};
+}
+
+Flag toggle(std::string name, bool& out, bool value) {
+  return {std::move(name), "", [&out, value](std::string_view) {
+            out = value;
+            return std::string();
+          }};
+}
+
+/// One of a fixed list of words, handed to `set`.
+Flag choice(std::string name, const std::vector<std::string>& words,
+            std::function<void(const std::string&)> set) {
+  std::string metavar;
+  for (const std::string& word : words) metavar += (metavar.empty() ? "" : "|") + word;
+  return {std::move(name), metavar, [words, metavar, set](std::string_view value) {
+            for (const std::string& word : words) {
+              if (value == word) {
+                set(word);
+                return std::string();
+              }
+            }
+            return "one of " + metavar;
+          }};
+}
+
+Flag dataset_flag(std::string& out) {
+  std::vector<std::string> names;
+  for (const DatasetInfo& info : paper_datasets()) names.push_back(info.name);
+  return choice("--dataset", names, [&out](const std::string& name) { out = name; });
+}
+
+Flag model_flag(GnnKind& out) {
+  return {"--model", "gcn|sage|gat", [&out](std::string_view value) {
+            try {
+              out = parse_gnn_kind(std::string(value));
+              return std::string();
+            } catch (const std::invalid_argument&) {
+              return std::string("one of gcn|sage|gat");
+            }
+          }};
+}
+
+Flag fanouts_flag(std::vector<int>& out) {
+  return {"--fanouts", "a,b,...", [&out](std::string_view value) {
+            std::vector<int> fanouts;
+            for (const std::string& token : split(std::string(value), ',')) {
+              int fanout = 0;
+              if (!parse_number(token, fanout) || fanout < 1) {
+                return std::string("comma-separated integers >= 1");
+              }
+              fanouts.push_back(fanout);
+            }
+            out = std::move(fanouts);
+            return std::string();
+          }};
+}
+
+/// An output path, probed at parse time so a typo'd directory fails
+/// before minutes of load generation, not after.  "-" means stderr.
+Flag output_flag(std::string name, std::string& out) {
+  return {std::move(name), "FILE|-", [&out](std::string_view value) {
+            const std::string path(value);
+            if (path != "-") {
+              std::FILE* f = std::fopen(path.c_str(), "a");
+              if (f == nullptr) return std::string("a writable file or '-'");
+              std::fclose(f);
+            }
+            out = path;
+            return std::string();
+          }};
+}
+
+void print_usage(std::FILE* to, const char* argv0, const Mode& mode) {
+  std::string line = std::string("usage: ") + argv0 +
+                     (mode.command.empty() ? "" : " " + mode.command);
+  for (const Flag& flag : mode.flags) {
+    const std::string entry =
+        "[" + flag.name + (flag.metavar.empty() ? "" : " " + flag.metavar) + "]";
+    if (line.back() == ']' && line.size() + 1 + entry.size() > 80) {
+      std::fprintf(to, "%s\n", line.c_str());
+      line = std::string(9, ' ');
+    }
+    line += " " + entry;
+  }
+  std::fprintf(to, "%s\n", line.c_str());
+  if (!mode.about.empty()) std::fprintf(to, "\n%s", mode.about.c_str());
+}
+
+/// Applies argv[first..) to the mode's table, then its cross-flag
+/// checks.  Returns "" or one error line naming the flag.  --help / -h
+/// prints the usage and exits 0.
+std::string parse_flags(int argc, char** argv, int first, const Mode& mode) {
+  for (int i = first; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      print_usage(stdout, argv[0], mode);
+      std::exit(0);
+    }
+    const Flag* flag = nullptr;
+    for (const Flag& candidate : mode.flags) {
+      if (arg == candidate.name) flag = &candidate;
+    }
+    if (flag == nullptr) return "unknown argument: " + std::string(arg);
+    std::string_view value;
+    if (!flag->metavar.empty()) {
+      if (i + 1 >= argc) return "missing value for " + flag->name;
+      value = argv[++i];
+    }
+    if (const std::string expect = flag->apply(value); !expect.empty()) {
+      return flag->name + ": expected " + expect + " (got '" + std::string(value) + "')";
+    }
+  }
+  return mode.check();
+}
+
+/// Parses and checks the command line, then runs the mode: a rejected
+/// command line exits 2 before any dataset is built, a failure while
+/// running exits 1.
+int run_mode(int argc, char** argv, const Mode& mode, const std::function<int()>& run) {
+  const std::string error = parse_flags(argc, argv, mode.command.empty() ? 1 : 2, mode);
+  if (!error.empty()) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    print_usage(stderr, argv[0], mode);
+    return 2;
+  }
+  try {
+    return run();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
+}
+
+constexpr int kMaxThreads = 1024;  ///< cap on each per-flag thread count
+constexpr int kMaxDevices = 64;    ///< cap on accelerators and shards
+constexpr VertexId kMaxScale = VertexId{1} << 30;  ///< the RMAT generator's cap
+
+Dataset materialize(const std::string& name, VertexId scale) {
+  MaterializeOptions materialize;
+  materialize.target_vertices = scale;
+  return materialize_dataset(name, materialize);
+}
+
+// ------------------------------------------------------------- train mode
+
+struct TrainOptions {
   std::string dataset = "ogbn-products";
-  std::string model = "sage";
+  GnnKind model = GnnKind::kSage;
   std::string platform = "fpga";
   int accels = 4;
   int epochs = 2;
@@ -56,83 +284,75 @@ struct CliOptions {
   VertexId scale = 1 << 11;
 };
 
-void usage(const char* argv0) {
-  std::printf(
-      "usage: %s [--dataset NAME] [--model gcn|sage|gat] [--platform gpu|fpga]\n"
-      "          [--accels K] [--epochs N] [--fanouts a,b,...] [--scale V]\n"
-      "          [--no-hybrid] [--no-drm] [--no-tfp] [--int8] [--trace FILE]\n",
-      argv0);
+Mode train_mode(TrainOptions& o) {
+  return {"",
+          {dataset_flag(o.dataset), model_flag(o.model),
+           choice("--platform", {"gpu", "fpga"}, [&o](const std::string& w) { o.platform = w; }),
+           number("--accels", "K", o.accels, 1, kMaxDevices),
+           number("--epochs", "N", o.epochs, 0),
+           fanouts_flag(o.fanouts),
+           number("--scale", "V", o.scale, 1, kMaxScale),
+           toggle("--no-hybrid", o.hybrid, false),
+           toggle("--no-drm", o.drm, false),
+           toggle("--no-tfp", o.tfp, false),
+           toggle("--int8", o.int8, true),
+           text("--trace", "FILE", o.trace_path)},
+          ""};
 }
 
-bool parse_args(int argc, char** argv, CliOptions& options) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--dataset") {
-      const char* v = next();
-      if (!v) return false;
-      options.dataset = v;
-    } else if (arg == "--model") {
-      const char* v = next();
-      if (!v) return false;
-      options.model = v;
-    } else if (arg == "--platform") {
-      const char* v = next();
-      if (!v) return false;
-      options.platform = v;
-    } else if (arg == "--accels") {
-      const char* v = next();
-      if (!v) return false;
-      options.accels = std::atoi(v);
-    } else if (arg == "--epochs") {
-      const char* v = next();
-      if (!v) return false;
-      options.epochs = std::atoi(v);
-    } else if (arg == "--scale") {
-      const char* v = next();
-      if (!v) return false;
-      options.scale = std::atoll(v);
-    } else if (arg == "--fanouts") {
-      const char* v = next();
-      if (!v) return false;
-      options.fanouts.clear();
-      for (const std::string& tok : split(v, ',')) {
-        options.fanouts.push_back(std::atoi(tok.c_str()));
-      }
-    } else if (arg == "--no-hybrid") {
-      options.hybrid = false;
-    } else if (arg == "--no-drm") {
-      options.drm = false;
-    } else if (arg == "--no-tfp") {
-      options.tfp = false;
-    } else if (arg == "--int8") {
-      options.int8 = true;
-    } else if (arg == "--trace") {
-      const char* v = next();
-      if (!v) return false;
-      options.trace_path = v;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return false;
-    }
+int run_train(const TrainOptions& options) {
+  const Dataset dataset = materialize(options.dataset, options.scale);
+  const PlatformSpec platform = options.platform == "gpu"
+                                    ? cpu_gpu_platform(options.accels)
+                                    : cpu_fpga_platform(options.accels);
+
+  HybridTrainerConfig config;
+  config.model_kind = options.model;
+  config.fanouts = options.fanouts;
+  config.hybrid = options.hybrid;
+  config.drm = options.drm;
+  config.pipeline = options.tfp ? PipelineMode::kTwoStagePrefetch
+                                : PipelineMode::kSinglePrefetch;
+  config.transfer_precision =
+      options.int8 ? TransferPrecision::kInt8 : TransferPrecision::kFp32;
+  config.trajectory_cap = options.trace_path.empty() ? 0 : 256;
+
+  std::printf("dataset:  %s (paper scale: %llu vertices / %llu edges)\n",
+              dataset.info.name.c_str(),
+              static_cast<unsigned long long>(dataset.info.num_vertices),
+              static_cast<unsigned long long>(dataset.info.num_edges));
+  std::printf("platform: %s\n", platform.name.c_str());
+  std::printf("model:    %s, fanouts", gnn_kind_name(config.model_kind));
+  for (int f : config.fanouts) std::printf(" %d", f);
+  std::printf(", hybrid=%d drm=%d tfp=%d wire=%s\n\n", config.hybrid, config.drm, options.tfp,
+              transfer_precision_name(config.transfer_precision));
+
+  HybridTrainer trainer(dataset, platform, config);
+  std::printf("initial mapping: %s\n", trainer.workload().to_string().c_str());
+  std::printf("predicted epoch: %.3f s\n\n", trainer.predicted_epoch_time());
+
+  EpochReport last;
+  for (int epoch = 0; epoch < options.epochs; ++epoch) {
+    last = trainer.train_epoch();
+    std::printf("epoch %2d: %8.3f s  %7.0f MTEPS  loss %.4f  acc %.3f\n", epoch,
+                last.epoch_time, last.mteps, last.loss, last.train_accuracy);
   }
-  return true;
+  std::printf("\nfinal workload: %s\n", last.final_workload.to_string().c_str());
+  std::printf("mean stage times: %s\n", last.mean_times.to_string().c_str());
+
+  if (!options.trace_path.empty()) {
+    write_chrome_trace(last, config.pipeline, options.trace_path);
+    std::printf("pipeline trace written to %s (open in chrome://tracing)\n",
+                options.trace_path.c_str());
+  }
+  return 0;
 }
 
 // ------------------------------------------------------------- serve mode
 
 struct ServeOptions {
   std::string dataset = "ogbn-products";
-  std::string model = "sage";
+  GnnKind model = GnnKind::kSage;
   VertexId scale = 1 << 11;
   int train_epochs = 1;
   std::string checkpoint;       ///< load instead of relying on training
@@ -160,161 +380,79 @@ struct ServeOptions {
   }
 };
 
-void serve_usage(const char* argv0) {
-  std::printf(
-      "usage: %s serve [--dataset NAME] [--model gcn|sage|gat] [--scale V]\n"
-      "          [--train-epochs N] [--checkpoint FILE] [--save-checkpoint FILE]\n"
-      "          [--fanouts a,b,...|--full] [--workers K] [--cache-rows R]\n"
-      "          [--precision fp32|int8] [--max-batch B] [--max-wait-ms MS] [--queue-cap Q]\n"
-      "          [--clients C] [--requests N] [--seeds-per-request S] [--seed X]\n"
-      "          [--metrics-out FILE|-] [--metrics-interval-ms MS] [--trace]\n"
-      "          [--flight-record-out FILE|-]\n"
-      "\n"
-      "telemetry: --metrics-out dumps registry snapshots + lifecycle events as\n"
-      "JSON lines (one final snapshot, or every --metrics-interval-ms; '-' =\n"
-      "stderr); --trace also records per-request stage spans, summarized in the\n"
-      "snapshot lines; --flight-record-out arms a liveness watchdog + flight\n"
-      "recorder that dumps a post-mortem JSON bundle (metrics, journal tail,\n"
-      "heartbeat ages, slowest-request traces) on a stall, an SLO breach, or\n"
-      "teardown.\n",
-      argv0);
+constexpr const char* kTelemetryAbout =
+    "telemetry: --metrics-out dumps registry snapshots + lifecycle events as\n"
+    "JSON lines (one final snapshot, or every --metrics-interval-ms; '-' =\n"
+    "stderr); --trace also records per-request stage spans, summarized in the\n"
+    "snapshot lines; --flight-record-out arms a liveness watchdog + flight\n"
+    "recorder that dumps a post-mortem JSON bundle (metrics, journal tail,\n"
+    "heartbeat ages, slowest-request traces) on a stall, an SLO breach, or\n"
+    "teardown.\n";
+
+std::vector<Flag> serve_flags(ServeOptions& o) {
+  return {dataset_flag(o.dataset),
+          model_flag(o.model),
+          number("--scale", "V", o.scale, 1, kMaxScale),
+          number("--train-epochs", "N", o.train_epochs, 0),
+          text("--checkpoint", "FILE", o.checkpoint),
+          text("--save-checkpoint", "FILE", o.save_checkpoint),
+          fanouts_flag(o.fanouts),
+          {"--full", "", [&o](std::string_view) {
+             o.fanouts.clear();
+             return std::string();
+           }},
+          number("--workers", "K", o.workers, 1, kMaxThreads),
+          number("--cache-rows", "R", o.cache_rows, 0),
+          choice("--precision", {"fp32", "int8"},
+                 [&o](const std::string& w) {
+                   o.precision = w == "int8" ? TransferPrecision::kInt8 : TransferPrecision::kFp32;
+                 }),
+          number("--max-batch", "B", o.max_batch, 1),
+          number("--max-wait-ms", "MS", o.max_wait_ms, 0.0),
+          number("--queue-cap", "Q", o.queue_cap, 1),
+          number("--clients", "C", o.clients, 1, kMaxThreads),
+          number("--requests", "N", o.requests, 1),
+          number("--seeds-per-request", "S", o.seeds_per_request, 1),
+          number("--seed", "X", o.seed, 0),
+          output_flag("--metrics-out", o.metrics_out),
+          // 0 is only meaningful as the default (final dump only); an
+          // EXPLICIT non-positive cadence is a mistake, not a request.
+          number("--metrics-interval-ms", "MS", o.metrics_interval_ms, 1),
+          toggle("--trace", o.stage_trace, true),
+          output_flag("--flight-record-out", o.flight_record_out)};
 }
 
-// Probe an output path at parse time so a typo'd directory fails
-// before minutes of load generation, not after.  "-" means stderr and
-// the empty string means "unset"; both always pass.
-bool probe_writable(const std::string& path, const char* flag) {
-  if (path.empty() || path == "-") return true;
-  std::FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) {
-    std::fprintf(stderr, "%s: cannot open '%s' for writing\n", flag, path.c_str());
-    return false;
-  }
-  std::fclose(f);
-  return true;
+Mode serve_mode(ServeOptions& o) {
+  // Static serving applies --precision to the device cache; fail before
+  // training runs, not in the server constructor minutes later.
+  return {"serve", serve_flags(o), kTelemetryAbout, [&o] {
+            if (o.precision == TransferPrecision::kFp32 || o.cache_rows > 0) return std::string();
+            return std::string("--precision int8 needs --cache-rows > 0 in serve mode");
+          }};
 }
 
-bool parse_serve_args(int argc, char** argv, ServeOptions& options) {
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--dataset") {
-      const char* v = next();
-      if (!v) return false;
-      options.dataset = v;
-    } else if (arg == "--model") {
-      const char* v = next();
-      if (!v) return false;
-      options.model = v;
-    } else if (arg == "--scale") {
-      const char* v = next();
-      if (!v) return false;
-      options.scale = std::atoll(v);
-    } else if (arg == "--train-epochs") {
-      const char* v = next();
-      if (!v) return false;
-      options.train_epochs = std::atoi(v);
-    } else if (arg == "--checkpoint") {
-      const char* v = next();
-      if (!v) return false;
-      options.checkpoint = v;
-    } else if (arg == "--save-checkpoint") {
-      const char* v = next();
-      if (!v) return false;
-      options.save_checkpoint = v;
-    } else if (arg == "--fanouts") {
-      const char* v = next();
-      if (!v) return false;
-      options.fanouts.clear();
-      for (const std::string& tok : split(v, ',')) {
-        options.fanouts.push_back(std::atoi(tok.c_str()));
-      }
-    } else if (arg == "--full") {
-      options.fanouts.clear();
-    } else if (arg == "--workers") {
-      const char* v = next();
-      if (!v) return false;
-      options.workers = std::atoi(v);
-    } else if (arg == "--cache-rows") {
-      const char* v = next();
-      if (!v) return false;
-      options.cache_rows = std::atoll(v);
-    } else if (arg == "--precision") {
-      const char* v = next();
-      if (!v) return false;
-      if (std::string(v) == "fp32") {
-        options.precision = TransferPrecision::kFp32;
-      } else if (std::string(v) == "int8") {
-        options.precision = TransferPrecision::kInt8;
-      } else {
-        std::fprintf(stderr, "--precision must be fp32 or int8 (got %s)\n", v);
-        return false;
-      }
-    } else if (arg == "--max-batch") {
-      const char* v = next();
-      if (!v) return false;
-      options.max_batch = std::atoll(v);
-    } else if (arg == "--max-wait-ms") {
-      const char* v = next();
-      if (!v) return false;
-      options.max_wait_ms = std::atof(v);
-    } else if (arg == "--queue-cap") {
-      const char* v = next();
-      if (!v) return false;
-      options.queue_cap = std::atoll(v);
-    } else if (arg == "--clients") {
-      const char* v = next();
-      if (!v) return false;
-      options.clients = std::atoi(v);
-    } else if (arg == "--requests") {
-      const char* v = next();
-      if (!v) return false;
-      options.requests = std::atoi(v);
-    } else if (arg == "--seeds-per-request") {
-      const char* v = next();
-      if (!v) return false;
-      options.seeds_per_request = std::atoi(v);
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (!v) return false;
-      options.seed = static_cast<std::uint64_t>(std::atoll(v));
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (!v) return false;
-      options.metrics_out = v;
-      if (!probe_writable(options.metrics_out, "--metrics-out")) return false;
-    } else if (arg == "--metrics-interval-ms") {
-      const char* v = next();
-      if (!v) return false;
-      options.metrics_interval_ms = std::atoi(v);
-      // 0 is only meaningful as the default (final dump only); an
-      // EXPLICIT non-positive cadence is a mistake, not a request.
-      if (options.metrics_interval_ms <= 0) {
-        std::fprintf(stderr, "--metrics-interval-ms must be a positive cadence (got %s)\n", v);
-        return false;
-      }
-    } else if (arg == "--flight-record-out") {
-      const char* v = next();
-      if (!v) return false;
-      options.flight_record_out = v;
-      if (!probe_writable(options.flight_record_out, "--flight-record-out")) return false;
-    } else if (arg == "--trace") {
-      options.stage_trace = true;
-    } else if (arg == "--help" || arg == "-h") {
-      serve_usage(argv[0]);
-      std::exit(0);
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  return true;
+ServingConfig serving_config(const ServeOptions& options, Telemetry* telemetry) {
+  ServingConfig serving;
+  serving.fanouts = options.fanouts;
+  serving.num_workers = options.workers;
+  serving.cache_capacity_rows = options.cache_rows;
+  serving.transfer_precision = options.precision;
+  serving.seed = options.seed;
+  serving.batch.max_batch_requests = options.max_batch;
+  serving.batch.max_wait = options.max_wait_ms * 1e-3;
+  serving.batch.queue_capacity = static_cast<std::size_t>(options.queue_cap);
+  serving.telemetry = telemetry;
+  return serving;
+}
+
+LoadGeneratorConfig load_config(const ServeOptions& options, Telemetry* telemetry) {
+  LoadGeneratorConfig load;
+  load.num_clients = options.clients;
+  load.requests_per_client = options.requests;
+  load.seeds_per_request = options.seeds_per_request;
+  load.seed = options.seed + 1;
+  load.telemetry = telemetry;
+  return load;
 }
 
 // Telemetry stack for a CLI session: registry (+ stage tracer when
@@ -382,6 +520,67 @@ void print_telemetry_summary(const CliTelemetry& telemetry, const ServeOptions& 
   std::printf("\n");
 }
 
+int run_serve(const ServeOptions& options) {
+  const Dataset dataset = materialize(options.dataset, options.scale);
+
+  HybridTrainerConfig train_config;
+  train_config.model_kind = options.model;
+  train_config.seed = options.seed;
+  HybridTrainer trainer(dataset, cpu_fpga_platform(2), train_config);
+  if (!options.checkpoint.empty()) {
+    load_checkpoint(trainer.model(), options.checkpoint);
+    std::printf("weights:  loaded from %s\n", options.checkpoint.c_str());
+  } else {
+    for (int e = 0; e < options.train_epochs; ++e) {
+      const EpochReport report = trainer.train_epoch();
+      std::printf("train epoch %d: loss %.4f acc %.3f\n", e, report.loss,
+                  report.train_accuracy);
+    }
+  }
+  if (!options.save_checkpoint.empty()) {
+    save_checkpoint(trainer.model(), options.save_checkpoint);
+    std::printf("weights:  saved to %s\n", options.save_checkpoint.c_str());
+  }
+
+  CliTelemetry telemetry = make_telemetry(options);
+  const ServingConfig serving = serving_config(options, telemetry.get());
+  const ModelSnapshot snapshot(trainer.model());
+  auto backend = make_static_backend(dataset, serving);
+  InferenceServer server(*backend, snapshot, serving);
+
+  std::printf("\nserving %s on %d workers (", dataset.info.name.c_str(), options.workers);
+  if (serving.fanouts.empty()) {
+    std::printf("full neighborhood");
+  } else {
+    std::printf("fanouts");
+    for (int f : serving.fanouts) std::printf(" %d", f);
+  }
+  std::printf(", max_batch=%lld, max_wait=%.1fms, cache_rows=%lld, wire=%s)\n",
+              static_cast<long long>(options.max_batch), options.max_wait_ms,
+              static_cast<long long>(options.cache_rows),
+              transfer_precision_name(options.precision));
+
+  LoadGenerator generator(server, dataset, load_config(options, telemetry.get()));
+  const LoadReport report = generator.run();
+  if (telemetry.exporter) telemetry.exporter->flush("load_drained");
+
+  std::printf("\n%s\n", report.to_string().c_str());
+  const ServingSnapshot& stats = report.server;
+  std::printf("latency:  p50 %.3f ms  p95 %.3f ms  p99 %.3f ms  max %.3f ms\n",
+              stats.latency_p50 * 1e3, stats.latency_p95 * 1e3, stats.latency_p99 * 1e3,
+              stats.latency_max * 1e3);
+  std::printf("qps:      %.1f requests/s (%.1f seeds/s)\n", report.qps,
+              report.qps * options.seeds_per_request);
+  std::printf("batches:  %lld (mean %.2f requests, min %lld, max %lld)\n",
+              static_cast<long long>(stats.completed_batches), stats.mean_batch_requests,
+              static_cast<long long>(stats.min_batch_requests),
+              static_cast<long long>(stats.max_batch_requests));
+  std::printf("cache:    hit_rate %.3f (%s device, %s host)\n", stats.cache_hit_rate,
+              format_bytes(stats.device_bytes).c_str(), format_bytes(stats.host_bytes).c_str());
+  print_telemetry_summary(telemetry, options);
+  return 0;
+}
+
 // ------------------------------------------------------------ stream mode
 
 struct StreamOptions {
@@ -408,168 +607,58 @@ struct StreamOptions {
   std::int64_t rerank_rows = 0;      ///< traffic-triggered re-rank cadence (0 = fold-only)
 };
 
-void stream_usage(const char* argv0) {
-  std::printf(
-      "usage: %s stream [--dataset NAME] [--model gcn|sage|gat] [--scale V]\n"
-      "          [--train-epochs N] [--fanouts a,b,...|--full] [--workers K]\n"
-      "          [--cache-rows R] [--precision fp32|int8] [--cache-rerank on|off]\n"
-      "          [--clients C] [--requests N] [--seed X]\n"
-      "          [--updates U] [--update-threads T] [--publish-every P]\n"
-      "          [--vertex-add-frac F] [--feature-update-frac F]\n"
-      "          [--delete-frac F] [--vertex-delete-frac F] [--delete-recent-frac F]\n"
-      "          [--compact-edges E] [--compact-ratio R] [--no-annihilate]\n"
-      "          [--slo-ms MS] [--ttl-ms MS] [--sweep-ms MS]\n"
-      "          [--shards N] [--partitioner hash|bfs] [--rerank-rows R]\n"
-      "          [--metrics-out FILE|-] [--metrics-interval-ms MS] [--trace]\n"
-      "          [--flight-record-out FILE|-]\n"
-      "\n"
-      "lifecycle: --slo-ms bounds staleness (background publisher; 0 = caller-paced\n"
-      "via --publish-every), --ttl-ms retires streamed-in entities idle that long\n"
-      "(swept every --sweep-ms), --no-annihilate disables in-place tombstone GC.\n"
-      "sharding: --shards N > 1 splits the evolving graph into N partition-routed\n"
-      "shards (--partitioner picks the base assignment) with per-shard compaction\n"
-      "and publishing; queries sample a consistent cross-shard cut, and --ttl-ms\n"
-      "runs ONE facade-wide sweeper so shard vertex spaces stay in lockstep.\n"
-      "--rerank-rows re-ranks the device cache every R gathered rows regardless\n"
-      "of fold cadence.\n",
-      argv0);
+Mode stream_mode(StreamOptions& o) {
+  constexpr double kAny = std::numeric_limits<double>::lowest();
+  std::vector<Flag> flags = serve_flags(o.serve);
+  flags.insert(flags.end(),
+               {number("--updates", "U", o.updates, 0),
+                number("--update-threads", "T", o.update_threads, 1, kMaxThreads),
+                number("--publish-every", "P", o.publish_every, 0),
+                number("--vertex-add-frac", "F", o.vertex_add_fraction, 0.0, 1.0),
+                number("--feature-update-frac", "F", o.feature_update_fraction, 0.0, 1.0),
+                number("--delete-frac", "F", o.edge_delete_fraction, 0.0, 1.0),
+                number("--vertex-delete-frac", "F", o.vertex_delete_fraction, 0.0, 1.0),
+                number("--delete-recent-frac", "F", o.delete_recent_fraction, 0.0, 1.0),
+                number("--compact-edges", "E", o.compact_edges, 1),
+                positive("--compact-ratio", "R", o.compact_ratio),
+                toggle("--no-annihilate", o.annihilate, false),
+                number("--slo-ms", "MS", o.slo_ms, kAny),
+                number("--ttl-ms", "MS", o.ttl_ms, kAny),
+                positive("--sweep-ms", "MS", o.sweep_ms),
+                choice("--cache-rerank", {"on", "off"},
+                       [&o](const std::string& w) { o.cache_rerank = w == "on"; }),
+                number("--shards", "N", o.shards, 1, kMaxDevices),
+                choice("--partitioner", {"hash", "bfs"},
+                       [&o](const std::string& w) { o.partitioner = w; }),
+                number("--rerank-rows", "R", o.rerank_rows, 0)});
+  return {"stream", std::move(flags),
+          std::string(
+              "lifecycle: --slo-ms bounds staleness (background publisher; 0 = caller-paced\n"
+              "via --publish-every), --ttl-ms retires streamed-in entities idle that long\n"
+              "(swept every --sweep-ms), --no-annihilate disables in-place tombstone GC.\n"
+              "sharding: --shards N > 1 splits the evolving graph into N partition-routed\n"
+              "shards (--partitioner picks the base assignment) with per-shard compaction\n"
+              "and publishing; queries sample a consistent cross-shard cut, and --ttl-ms\n"
+              "runs ONE facade-wide sweeper so shard vertex spaces stay in lockstep.\n"
+              "--rerank-rows re-ranks the device cache every R gathered rows regardless\n"
+              "of fold cadence.\n") +
+              kTelemetryAbout,
+          [&o] {
+            const double sum = o.vertex_add_fraction + o.vertex_delete_fraction +
+                               o.feature_update_fraction + o.edge_delete_fraction;
+            if (sum <= 1.0) return std::string();
+            return "--vertex-add-frac + --vertex-delete-frac + --feature-update-frac + "
+                   "--delete-frac must sum to <= 1 (got " + show(sum) + ")";
+          }};
 }
 
-bool parse_stream_args(int argc, char** argv, StreamOptions& options) {
-  // Reuse the serve parser for the shared flags by filtering out the
-  // stream-only ones first.
-  std::vector<char*> passthrough = {argv[0], argv[1]};
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--updates") {
-      const char* v = next();
-      if (!v) return false;
-      options.updates = std::atoll(v);
-    } else if (arg == "--update-threads") {
-      const char* v = next();
-      if (!v) return false;
-      options.update_threads = std::atoi(v);
-    } else if (arg == "--publish-every") {
-      const char* v = next();
-      if (!v) return false;
-      options.publish_every = std::atoll(v);
-    } else if (arg == "--vertex-add-frac") {
-      const char* v = next();
-      if (!v) return false;
-      options.vertex_add_fraction = std::atof(v);
-    } else if (arg == "--feature-update-frac") {
-      const char* v = next();
-      if (!v) return false;
-      options.feature_update_fraction = std::atof(v);
-    } else if (arg == "--delete-frac") {
-      const char* v = next();
-      if (!v) return false;
-      options.edge_delete_fraction = std::atof(v);
-    } else if (arg == "--vertex-delete-frac") {
-      const char* v = next();
-      if (!v) return false;
-      options.vertex_delete_fraction = std::atof(v);
-    } else if (arg == "--delete-recent-frac") {
-      const char* v = next();
-      if (!v) return false;
-      options.delete_recent_fraction = std::atof(v);
-    } else if (arg == "--compact-edges") {
-      const char* v = next();
-      if (!v) return false;
-      options.compact_edges = std::atoll(v);
-    } else if (arg == "--compact-ratio") {
-      const char* v = next();
-      if (!v) return false;
-      options.compact_ratio = std::atof(v);
-    } else if (arg == "--no-annihilate") {
-      options.annihilate = false;
-    } else if (arg == "--slo-ms") {
-      const char* v = next();
-      if (!v) return false;
-      options.slo_ms = std::atof(v);
-    } else if (arg == "--ttl-ms") {
-      const char* v = next();
-      if (!v) return false;
-      options.ttl_ms = std::atof(v);
-    } else if (arg == "--sweep-ms") {
-      const char* v = next();
-      if (!v) return false;
-      options.sweep_ms = std::atof(v);
-    } else if (arg == "--shards") {
-      const char* v = next();
-      if (!v) return false;
-      options.shards = std::atoi(v);
-    } else if (arg == "--partitioner") {
-      const char* v = next();
-      if (!v) return false;
-      options.partitioner = v;
-      if (options.partitioner != "hash" && options.partitioner != "bfs") {
-        std::fprintf(stderr, "--partitioner must be hash or bfs (got %s)\n", v);
-        return false;
-      }
-    } else if (arg == "--rerank-rows") {
-      const char* v = next();
-      if (!v) return false;
-      options.rerank_rows = std::atoll(v);
-    } else if (arg == "--cache-rerank") {
-      const char* v = next();
-      if (!v) return false;
-      if (std::string(v) == "on") {
-        options.cache_rerank = true;
-      } else if (std::string(v) == "off") {
-        options.cache_rerank = false;
-      } else {
-        std::fprintf(stderr, "--cache-rerank must be on or off (got %s)\n", v);
-        return false;
-      }
-    } else if (arg == "--help" || arg == "-h") {
-      stream_usage(argv[0]);
-      std::exit(0);
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  return parse_serve_args(static_cast<int>(passthrough.size()), passthrough.data(),
-                          options.serve);
-}
-
-int run_stream_impl(const StreamOptions& options);
-
-int run_stream(int argc, char** argv) {
-  StreamOptions options;
-  if (!parse_stream_args(argc, argv, options)) {
-    stream_usage(argv[0]);
-    return 2;
-  }
-  try {
-    return run_stream_impl(options);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-}
-
-int run_stream_impl(const StreamOptions& options) {
+int run_stream(const StreamOptions& options) {
   const ServeOptions& serve = options.serve;
-  MaterializeOptions materialize;
-  materialize.target_vertices = serve.scale;
-  Dataset dataset;
-  try {
-    dataset = materialize_dataset(serve.dataset, materialize);
-  } catch (const std::out_of_range&) {
-    std::fprintf(stderr, "unknown dataset '%s'\n", serve.dataset.c_str());
-    return 2;
-  }
+  const bool sharded = options.shards > 1;
+  const Dataset dataset = materialize(serve.dataset, serve.scale);
 
   HybridTrainerConfig train_config;
-  train_config.model_kind = parse_gnn_kind(serve.model);
+  train_config.model_kind = serve.model;
   train_config.seed = serve.seed;
   HyScale system(dataset, cpu_fpga_platform(2), train_config);
   for (int e = 0; e < serve.train_epochs; ++e) {
@@ -577,19 +666,9 @@ int run_stream_impl(const StreamOptions& options) {
     std::printf("train epoch %d: loss %.4f acc %.3f\n", e, report.loss, report.train_accuracy);
   }
 
-  ServingConfig serving;
-  serving.fanouts = serve.fanouts;
-  serving.num_workers = serve.workers;
-  serving.cache_capacity_rows = serve.cache_rows;
-  serving.transfer_precision = serve.precision;
-  serving.seed = serve.seed;
-  serving.batch.max_batch_requests = serve.max_batch;
-  serving.batch.max_wait = serve.max_wait_ms * 1e-3;
-  serving.batch.queue_capacity = static_cast<std::size_t>(serve.queue_cap);
-  serving.cache_rerank_every_rows = options.rerank_rows;
-
   CliTelemetry telemetry = make_telemetry(serve);
-  serving.telemetry = telemetry.get();
+  ServingConfig serving = serving_config(serve, telemetry.get());
+  serving.cache_rerank_every_rows = options.rerank_rows;
   StreamingConfig streaming;
   streaming.telemetry = telemetry.get();
   streaming.cache_rerank = options.cache_rerank;
@@ -608,18 +687,17 @@ int run_stream_impl(const StreamOptions& options) {
   expiry.ttl = options.ttl_ms < 0.0 ? -1.0 : options.ttl_ms * 1e-3;
   expiry.sweep_interval = options.sweep_ms * 1e-3;
 
-  if (options.shards > 1) {
-    ShardedConfig sharded;
-    sharded.num_shards = options.shards;
-    sharded.partitioner = options.partitioner == "bfs" ? ShardedConfig::Partitioner::kBfs
-                                                       : ShardedConfig::Partitioner::kHash;
-    sharded.stream = streaming;
+  ServingSession session;
+  if (sharded) {
+    ShardedConfig config;
+    config.num_shards = options.shards;
+    config.partitioner = options.partitioner == "bfs" ? ShardedConfig::Partitioner::kBfs
+                                                      : ShardedConfig::Partitioner::kHash;
+    config.stream = streaming;
     // One facade-wide TTL sweeper, paced through the ServingBackend
     // seam — retirement broadcasts to every shard so the vertex spaces
     // stay in lockstep.
-    ServingSession session =
-        system.stream_sharded(sharded, serving, compaction, publisher, {}, expiry);
-
+    session = system.stream_sharded(config, serving, compaction, publisher, {}, expiry);
     const Partition& partition = session.shards().partition();
     std::printf("\nsharded streaming %s: %d shards (%s partition, imbalance %.3f, "
                 "edge-cut %.1f%%), %d workers, wire=%s, rerank-rows=%lld\n",
@@ -632,41 +710,63 @@ int run_stream_impl(const StreamOptions& options) {
       std::printf("expiry:   ttl %.1f ms, sweep every %.1f ms (facade-wide)\n",
                   options.ttl_ms, options.sweep_ms);
     }
+  } else {
+    session = system.stream(serving, streaming, compaction, publisher, expiry);
+    std::printf("\nstreaming %s on %d workers (%lld base edges, compact at %lld overlay "
+                "edges or %.0f%%, wire=%s, rerank=%s)\n",
+                dataset.info.name.c_str(), serve.workers,
+                static_cast<long long>(dataset.graph.num_edges()),
+                static_cast<long long>(options.compact_edges), options.compact_ratio * 100.0,
+                transfer_precision_name(serve.precision),
+                options.cache_rerank ? "on" : "off");
+    if (session.publisher() != nullptr) {
+      std::printf("publisher: staleness budget %.3f ms\n", options.slo_ms);
+    } else if (options.publish_every > 0) {
+      std::printf("publisher: off (fixed cadence, publish every %lld ops)\n",
+                  static_cast<long long>(options.publish_every));
+    } else {
+      std::printf("publisher: off and no cadence — updates stay invisible until the "
+                  "final publish (pass --slo-ms or --publish-every)\n");
+    }
+    if (session.sweeper != nullptr) {
+      std::printf("expiry:    ttl %.1f ms, sweep every %.1f ms\n", options.ttl_ms,
+                  options.sweep_ms);
+    }
+  }
 
-    UpdateGeneratorConfig updates;
-    updates.operations = options.updates;
-    updates.num_threads = options.update_threads;
-    updates.publish_every = options.publish_every;
-    updates.vertex_add_fraction = options.vertex_add_fraction;
-    updates.vertex_delete_fraction = options.vertex_delete_fraction;
-    updates.feature_update_fraction = options.feature_update_fraction;
-    updates.edge_delete_fraction = options.edge_delete_fraction;
-    updates.delete_recent_fraction = options.delete_recent_fraction;
-    updates.seed = serve.seed + 2;
-    ShardedUpdateDriver update_driver(session.shards(), updates);
-    UpdateReport update_report;
-    std::thread update_thread([&] { update_report = update_driver.run(); });
+  UpdateGeneratorConfig updates;
+  updates.operations = options.updates;
+  updates.num_threads = options.update_threads;
+  updates.publish_every = options.publish_every;
+  updates.vertex_add_fraction = options.vertex_add_fraction;
+  updates.vertex_delete_fraction = options.vertex_delete_fraction;
+  updates.feature_update_fraction = options.feature_update_fraction;
+  updates.edge_delete_fraction = options.edge_delete_fraction;
+  updates.delete_recent_fraction = options.delete_recent_fraction;
+  updates.seed = serve.seed + 2;
+  UpdateGenerator update_generator = sharded ? UpdateGenerator(session.shards(), updates)
+                                             : UpdateGenerator(session.stream(), updates);
+  UpdateReport update_report;
+  std::thread update_thread([&] { update_report = update_generator.run(); });
 
-    LoadGeneratorConfig load;
-    load.num_clients = serve.clients;
-    load.requests_per_client = serve.requests;
-    load.seeds_per_request = serve.seeds_per_request;
-    load.seed = serve.seed + 1;
-    load.telemetry = telemetry.get();
-    LoadGenerator generator(*session.server, dataset, load);
-    const LoadReport report = generator.run();
-    update_thread.join();
-    if (telemetry.exporter) telemetry.exporter->flush("load_drained");
+  LoadGenerator generator(*session.server, dataset, load_config(serve, telemetry.get()));
+  const LoadReport report = generator.run();
+  update_thread.join();
+  if (telemetry.exporter) telemetry.exporter->flush("load_drained");
 
-    const ShardedStats sharded_stats = session.shards().stats();
-    const ServingSnapshot& stats = report.server;
-    std::printf("\nqueries:  %s\n", report.to_string().c_str());
-    std::printf("updates:  %s\n", update_report.to_string().c_str());
-    std::printf("sharded:  %s\n", sharded_stats.to_string().c_str());
-    std::printf("latency:  p50 %.3f ms  p99 %.3f ms  (queue p99 %.3f ms, compute mean "
-                "%.3f ms)\n",
-                stats.latency_p50 * 1e3, stats.latency_p99 * 1e3,
-                stats.queue_wait_p99 * 1e3, stats.compute_mean * 1e3);
+  const ServingSnapshot& stats = report.server;
+  std::printf("\nqueries:  %s\n", report.to_string().c_str());
+  std::printf("updates:  %s\n", update_report.to_string().c_str());
+  if (sharded) {
+    std::printf("sharded:  %s\n", session.shards().stats().to_string().c_str());
+  } else {
+    std::printf("stream:   %s\n", session.stream().stats().to_string().c_str());
+  }
+  std::printf("latency:  p50 %.3f ms  p99 %.3f ms  (queue p99 %.3f ms, compute mean %.3f ms)\n",
+              stats.latency_p50 * 1e3, stats.latency_p99 * 1e3, stats.queue_wait_p99 * 1e3,
+              stats.compute_mean * 1e3);
+
+  if (sharded) {
     for (std::size_t s = 0; s < session.publishers.size(); ++s) {
       std::printf("shard %zu:  %lld publishes (worst staleness %.3f ms)\n", s,
                   static_cast<long long>(session.publishers[s]->publishes()),
@@ -684,266 +784,48 @@ int run_stream_impl(const StreamOptions& options) {
       std::printf("rerank:   %lld traffic-triggered re-ranks\n",
                   static_cast<long long>(session.server->traffic_reranks()));
     }
-    print_telemetry_summary(telemetry, serve);
-    return 0;
-  }
-
-  ServingSession session = system.stream(serving, streaming, compaction, publisher, expiry);
-
-  std::printf("\nstreaming %s on %d workers (%lld base edges, compact at %lld overlay "
-              "edges or %.0f%%, wire=%s, rerank=%s)\n",
-              dataset.info.name.c_str(), serve.workers,
-              static_cast<long long>(dataset.graph.num_edges()),
-              static_cast<long long>(options.compact_edges), options.compact_ratio * 100.0,
-              transfer_precision_name(serve.precision),
-              options.cache_rerank ? "on" : "off");
-  if (session.publisher() != nullptr) {
-    std::printf("publisher: staleness budget %.3f ms\n", options.slo_ms);
-  } else if (options.publish_every > 0) {
-    std::printf("publisher: off (fixed cadence, publish every %lld ops)\n",
-                static_cast<long long>(options.publish_every));
   } else {
-    std::printf("publisher: off and no cadence — updates stay invisible until the "
-                "final publish (pass --slo-ms or --publish-every)\n");
-  }
-  if (session.sweeper != nullptr) {
-    std::printf("expiry:    ttl %.1f ms, sweep every %.1f ms\n", options.ttl_ms,
-                options.sweep_ms);
-  }
-
-  UpdateGeneratorConfig updates;
-  updates.operations = options.updates;
-  updates.num_threads = options.update_threads;
-  updates.publish_every = options.publish_every;
-  updates.vertex_add_fraction = options.vertex_add_fraction;
-  updates.vertex_delete_fraction = options.vertex_delete_fraction;
-  updates.feature_update_fraction = options.feature_update_fraction;
-  updates.edge_delete_fraction = options.edge_delete_fraction;
-  updates.delete_recent_fraction = options.delete_recent_fraction;
-  updates.seed = serve.seed + 2;
-  UpdateGenerator update_generator(session.stream(), updates);
-  UpdateReport update_report;
-  std::thread update_thread([&] { update_report = update_generator.run(); });
-
-  LoadGeneratorConfig load;
-  load.num_clients = serve.clients;
-  load.requests_per_client = serve.requests;
-  load.seeds_per_request = serve.seeds_per_request;
-  load.seed = serve.seed + 1;
-  load.telemetry = telemetry.get();
-  LoadGenerator generator(*session.server, dataset, load);
-  const LoadReport report = generator.run();
-  update_thread.join();
-  if (telemetry.exporter) telemetry.exporter->flush("load_drained");
-
-  const StreamStats stream_stats = session.stream().stats();
-  const ServingSnapshot& stats = report.server;
-  std::printf("\nqueries:  %s\n", report.to_string().c_str());
-  std::printf("updates:  %s\n", update_report.to_string().c_str());
-  std::printf("stream:   %s\n", stream_stats.to_string().c_str());
-  std::printf("latency:  p50 %.3f ms  p99 %.3f ms  (queue p99 %.3f ms, compute mean %.3f ms)\n",
-              stats.latency_p50 * 1e3, stats.latency_p99 * 1e3, stats.queue_wait_p99 * 1e3,
-              stats.compute_mean * 1e3);
-  std::printf("graph:    %lld vertices (%lld dead, %lld recycled), version %llu, "
-              "%lld compactions\n",
-              static_cast<long long>(session.stream().num_vertices()),
-              static_cast<long long>(stream_stats.dead_vertices),
-              static_cast<long long>(stream_stats.recycled_vertices),
-              static_cast<unsigned long long>(stream_stats.version_id),
-              static_cast<long long>(stream_stats.compactions));
-  std::printf("lifecycle: %lld ops annihilated in %lld passes, %lld expired",
-              static_cast<long long>(stream_stats.annihilated_ops),
-              static_cast<long long>(stream_stats.annihilations),
-              static_cast<long long>(stream_stats.expired_vertices));
-  if (session.publisher() != nullptr) {
-    std::printf(", publisher %lld publishes (worst staleness %.3f ms)",
-                static_cast<long long>(session.publisher()->publishes()),
-                session.publisher()->worst_staleness() * 1e3);
-  }
-  std::printf("\n");
-  if (serve.cache_rows > 0) {
-    const StaticFeatureCache* cache = session.server->cache();
-    std::printf("cache:    hit_rate %.3f  since_invalidate %.3f (%lld invalidations)\n",
-                cache->totals().hit_rate(), cache->since_invalidate().hit_rate(),
-                static_cast<long long>(cache->invalidations()));
-  }
-  print_telemetry_summary(telemetry, serve);
-  return 0;
-}
-
-int run_serve_impl(const ServeOptions& options);
-
-int run_serve(int argc, char** argv) {
-  ServeOptions options;
-  if (!parse_serve_args(argc, argv, options)) {
-    serve_usage(argv[0]);
-    return 2;
-  }
-  try {
-    return run_serve_impl(options);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-}
-
-int run_serve_impl(const ServeOptions& options) {
-  // Static serving applies --precision to the device cache; fail before
-  // training runs, not in the server constructor minutes later.
-  if (options.precision != TransferPrecision::kFp32 && options.cache_rows <= 0) {
-    std::fprintf(stderr, "--precision %s needs --cache-rows > 0 in serve mode\n",
-                 transfer_precision_name(options.precision));
-    return 2;
-  }
-  MaterializeOptions materialize;
-  materialize.target_vertices = options.scale;
-  Dataset dataset;
-  try {
-    dataset = materialize_dataset(options.dataset, materialize);
-  } catch (const std::out_of_range&) {
-    std::fprintf(stderr, "unknown dataset '%s'\n", options.dataset.c_str());
-    return 2;
-  }
-
-  HybridTrainerConfig train_config;
-  train_config.model_kind = parse_gnn_kind(options.model);
-  train_config.seed = options.seed;
-  HybridTrainer trainer(dataset, cpu_fpga_platform(2), train_config);
-  if (!options.checkpoint.empty()) {
-    load_checkpoint(trainer.model(), options.checkpoint);
-    std::printf("weights:  loaded from %s\n", options.checkpoint.c_str());
-  } else {
-    for (int e = 0; e < options.train_epochs; ++e) {
-      const EpochReport report = trainer.train_epoch();
-      std::printf("train epoch %d: loss %.4f acc %.3f\n", e, report.loss,
-                  report.train_accuracy);
+    const StreamStats stream_stats = session.stream().stats();
+    std::printf("graph:    %lld vertices (%lld dead, %lld recycled), version %llu, "
+                "%lld compactions\n",
+                static_cast<long long>(session.stream().num_vertices()),
+                static_cast<long long>(stream_stats.dead_vertices),
+                static_cast<long long>(stream_stats.recycled_vertices),
+                static_cast<unsigned long long>(stream_stats.version_id),
+                static_cast<long long>(stream_stats.compactions));
+    std::printf("lifecycle: %lld ops annihilated in %lld passes, %lld expired",
+                static_cast<long long>(stream_stats.annihilated_ops),
+                static_cast<long long>(stream_stats.annihilations),
+                static_cast<long long>(stream_stats.expired_vertices));
+    if (session.publisher() != nullptr) {
+      std::printf(", publisher %lld publishes (worst staleness %.3f ms)",
+                  static_cast<long long>(session.publisher()->publishes()),
+                  session.publisher()->worst_staleness() * 1e3);
+    }
+    std::printf("\n");
+    if (serve.cache_rows > 0) {
+      const StaticFeatureCache* cache = session.server->cache();
+      std::printf("cache:    hit_rate %.3f  since_invalidate %.3f (%lld invalidations)\n",
+                  cache->totals().hit_rate(), cache->since_invalidate().hit_rate(),
+                  static_cast<long long>(cache->invalidations()));
     }
   }
-  if (!options.save_checkpoint.empty()) {
-    save_checkpoint(trainer.model(), options.save_checkpoint);
-    std::printf("weights:  saved to %s\n", options.save_checkpoint.c_str());
-  }
-
-  ServingConfig serving;
-  serving.fanouts = options.fanouts;
-  serving.num_workers = options.workers;
-  serving.cache_capacity_rows = options.cache_rows;
-  serving.transfer_precision = options.precision;
-  serving.seed = options.seed;
-  serving.batch.max_batch_requests = options.max_batch;
-  serving.batch.max_wait = options.max_wait_ms * 1e-3;
-  serving.batch.queue_capacity = static_cast<std::size_t>(options.queue_cap);
-
-  CliTelemetry telemetry = make_telemetry(options);
-  serving.telemetry = telemetry.get();
-
-  const ModelSnapshot snapshot(trainer.model());
-  auto backend = make_static_backend(dataset, serving);
-  InferenceServer server(*backend, snapshot, serving);
-
-  std::printf("\nserving %s on %d workers (", dataset.info.name.c_str(), options.workers);
-  if (serving.fanouts.empty()) {
-    std::printf("full neighborhood");
-  } else {
-    std::printf("fanouts");
-    for (int f : serving.fanouts) std::printf(" %d", f);
-  }
-  std::printf(", max_batch=%lld, max_wait=%.1fms, cache_rows=%lld, wire=%s)\n",
-              static_cast<long long>(options.max_batch), options.max_wait_ms,
-              static_cast<long long>(options.cache_rows),
-              transfer_precision_name(options.precision));
-
-  LoadGeneratorConfig load;
-  load.num_clients = options.clients;
-  load.requests_per_client = options.requests;
-  load.seeds_per_request = options.seeds_per_request;
-  load.seed = options.seed + 1;
-  load.telemetry = telemetry.get();
-  LoadGenerator generator(server, dataset, load);
-  const LoadReport report = generator.run();
-  if (telemetry.exporter) telemetry.exporter->flush("load_drained");
-
-  std::printf("\n%s\n", report.to_string().c_str());
-  const ServingSnapshot& stats = report.server;
-  std::printf("latency:  p50 %.3f ms  p95 %.3f ms  p99 %.3f ms  max %.3f ms\n",
-              stats.latency_p50 * 1e3, stats.latency_p95 * 1e3, stats.latency_p99 * 1e3,
-              stats.latency_max * 1e3);
-  std::printf("qps:      %.1f requests/s (%.1f seeds/s)\n", report.qps,
-              report.qps * options.seeds_per_request);
-  std::printf("batches:  %lld (mean %.2f requests, min %lld, max %lld)\n",
-              static_cast<long long>(stats.completed_batches), stats.mean_batch_requests,
-              static_cast<long long>(stats.min_batch_requests),
-              static_cast<long long>(stats.max_batch_requests));
-  std::printf("cache:    hit_rate %.3f (%s device, %s host)\n", stats.cache_hit_rate,
-              format_bytes(stats.device_bytes).c_str(), format_bytes(stats.host_bytes).c_str());
-  print_telemetry_summary(telemetry, options);
+  print_telemetry_summary(telemetry, serve);
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "serve") == 0) return run_serve(argc, argv);
-  if (argc > 1 && std::strcmp(argv[1], "stream") == 0) return run_stream(argc, argv);
-  CliOptions options;
-  if (!parse_args(argc, argv, options)) {
-    usage(argv[0]);
-    return 2;
+  const std::string_view command = argc > 1 ? argv[1] : "";
+  if (command == "serve") {
+    ServeOptions options;
+    return run_mode(argc, argv, serve_mode(options), [&] { return run_serve(options); });
   }
-
-  MaterializeOptions materialize;
-  materialize.target_vertices = options.scale;
-  Dataset dataset;
-  try {
-    dataset = materialize_dataset(options.dataset, materialize);
-  } catch (const std::out_of_range&) {
-    std::fprintf(stderr, "unknown dataset '%s'; known datasets:\n", options.dataset.c_str());
-    for (const auto& info : paper_datasets()) std::fprintf(stderr, "  %s\n", info.name.c_str());
-    return 2;
+  if (command == "stream") {
+    StreamOptions options;
+    return run_mode(argc, argv, stream_mode(options), [&] { return run_stream(options); });
   }
-
-  const PlatformSpec platform = options.platform == "gpu"
-                                    ? cpu_gpu_platform(options.accels)
-                                    : cpu_fpga_platform(options.accels);
-
-  HybridTrainerConfig config;
-  config.model_kind = parse_gnn_kind(options.model);
-  config.fanouts = options.fanouts;
-  config.hybrid = options.hybrid;
-  config.drm = options.drm;
-  config.pipeline = options.tfp ? PipelineMode::kTwoStagePrefetch
-                                : PipelineMode::kSinglePrefetch;
-  config.transfer_precision =
-      options.int8 ? TransferPrecision::kInt8 : TransferPrecision::kFp32;
-  config.trajectory_cap = options.trace_path.empty() ? 0 : 256;
-
-  std::printf("dataset:  %s (paper scale: %llu vertices / %llu edges)\n",
-              dataset.info.name.c_str(),
-              static_cast<unsigned long long>(dataset.info.num_vertices),
-              static_cast<unsigned long long>(dataset.info.num_edges));
-  std::printf("platform: %s\n", platform.name.c_str());
-  std::printf("model:    %s, fanouts", gnn_kind_name(config.model_kind));
-  for (int f : config.fanouts) std::printf(" %d", f);
-  std::printf(", hybrid=%d drm=%d tfp=%d wire=%s\n\n", config.hybrid, config.drm, options.tfp,
-              transfer_precision_name(config.transfer_precision));
-
-  HybridTrainer trainer(dataset, platform, config);
-  std::printf("initial mapping: %s\n", trainer.workload().to_string().c_str());
-  std::printf("predicted epoch: %.3f s\n\n", trainer.predicted_epoch_time());
-
-  EpochReport last;
-  for (int epoch = 0; epoch < options.epochs; ++epoch) {
-    last = trainer.train_epoch();
-    std::printf("epoch %2d: %8.3f s  %7.0f MTEPS  loss %.4f  acc %.3f\n", epoch,
-                last.epoch_time, last.mteps, last.loss, last.train_accuracy);
-  }
-  std::printf("\nfinal workload: %s\n", last.final_workload.to_string().c_str());
-  std::printf("mean stage times: %s\n", last.mean_times.to_string().c_str());
-
-  if (!options.trace_path.empty()) {
-    write_chrome_trace(last, config.pipeline, options.trace_path);
-    std::printf("pipeline trace written to %s (open in chrome://tracing)\n",
-                options.trace_path.c_str());
-  }
-  return 0;
+  TrainOptions options;
+  return run_mode(argc, argv, train_mode(options), [&] { return run_train(options); });
 }

@@ -9,10 +9,11 @@
 //                          owner-routed edges/features, halo mirrors
 //   ShardedSampler       — bit-identical GraphSAGE sampling over a cut
 //   CutAdopter           — background version-vector advancer
-//   ShardedUpdateDriver  — the facade analogue of UpdateGenerator
+//
+// stream/UpdateGenerator drives a ShardedStreamingGraph as well as a
+// flat StreamingGraph.
 #pragma once
 
 #include "shard/cut_adopter.hpp"
 #include "shard/sharded_graph.hpp"
 #include "shard/sharded_sampler.hpp"
-#include "shard/update_driver.hpp"

@@ -9,10 +9,39 @@
 
 #include "common/rng.hpp"
 #include "common/strutil.hpp"
+#include "shard/sharded_graph.hpp"
 
 namespace hyscale {
 
+namespace {
+
+// The three points where the flat and sharded stacks differ.
+void publish(StreamingGraph& graph) { graph.publish(); }
+void publish(ShardedStreamingGraph& graph) { graph.publish_all(); }
+
+std::shared_ptr<const GraphVersion> visible(const StreamingGraph& graph) {
+  return graph.current();
+}
+std::shared_ptr<const ShardedCut> visible(const ShardedStreamingGraph& graph) {
+  return graph.current_cut();
+}
+
+// A sharded graph recycles no ids, and its visibility event is a cut
+// adoption.
+std::int64_t recycled(const StreamStats& stats) { return stats.recycled_vertices; }
+std::int64_t recycled(const ShardedStats&) { return 0; }
+std::int64_t publishes(const StreamStats& stats) { return stats.publishes; }
+std::int64_t publishes(const ShardedStats& stats) { return stats.cut_adoptions; }
+
+}  // namespace
+
 UpdateGenerator::UpdateGenerator(StreamingGraph& graph, UpdateGeneratorConfig config)
+    : UpdateGenerator(Target{&graph}, config) {}
+
+UpdateGenerator::UpdateGenerator(ShardedStreamingGraph& graph, UpdateGeneratorConfig config)
+    : UpdateGenerator(Target{&graph}, config) {}
+
+UpdateGenerator::UpdateGenerator(Target graph, UpdateGeneratorConfig config)
     : graph_(graph), config_(config) {
   if (config_.operations < 0) throw std::invalid_argument("UpdateGenerator: negative operations");
   if (config_.num_threads < 1)
@@ -30,14 +59,19 @@ UpdateGenerator::UpdateGenerator(StreamingGraph& graph, UpdateGeneratorConfig co
 }
 
 UpdateReport UpdateGenerator::run() {
-  const std::int64_t cols = graph_.features().cols();
-  const VertexId dataset_vertices = graph_.dataset().graph.num_vertices();
+  return std::visit([this](auto* graph) { return run_on(*graph); }, graph_);
+}
+
+template <typename Graph>
+UpdateReport UpdateGenerator::run_on(Graph& graph) {
+  const std::int64_t cols = graph.dataset().features.cols();
+  const VertexId dataset_vertices = graph.dataset().graph.num_vertices();
   std::atomic<std::int64_t> completed_ops{0};
 
   // The graph's own counters are the single source of truth; the report
   // is the delta over this run (assumes no other writer is active,
   // which is how the benches and tests drive it).
-  const StreamStats before = graph_.stats();
+  const auto before = graph.stats();
   Timer wall;
   auto worker = [&](int t, std::int64_t ops) {
     Xoshiro256 rng(config_.seed + static_cast<std::uint64_t>(t) * 0x9e3779b97f4a7c15ULL);
@@ -58,7 +92,7 @@ UpdateReport UpdateGenerator::run() {
     };
     for (std::int64_t op = 0; op < ops; ++op) {
       double kind = rng.uniform();
-      const VertexId n = graph_.num_vertices();
+      const VertexId n = graph.num_vertices();
       const double add_cut = config_.vertex_add_fraction;
       const double vdel_cut = add_cut + config_.vertex_delete_fraction;
       const double feat_cut = vdel_cut + config_.feature_update_fraction;
@@ -68,17 +102,17 @@ UpdateReport UpdateGenerator::run() {
       }
       if (kind < add_cut) {
         for (float& x : row) x = static_cast<float>(rng.normal());
-        const VertexId v = graph_.add_vertex(row);
+        const VertexId v = graph.add_vertex(row);
         for (int e = 0; e < config_.edges_per_new_vertex; ++e) {
-          graph_.add_edge(v, static_cast<VertexId>(rng.bounded(static_cast<std::uint64_t>(n))));
+          graph.add_edge(v, static_cast<VertexId>(rng.bounded(static_cast<std::uint64_t>(n))));
         }
       } else if (kind < vdel_cut) {
         const auto span = static_cast<std::uint64_t>(n - dataset_vertices);
-        graph_.remove_vertex(dataset_vertices + static_cast<VertexId>(rng.bounded(span)));
+        graph.remove_vertex(dataset_vertices + static_cast<VertexId>(rng.bounded(span)));
       } else if (kind < feat_cut) {
         const auto v = static_cast<VertexId>(rng.bounded(static_cast<std::uint64_t>(n)));
         for (float& x : row) x = static_cast<float>(rng.normal());
-        graph_.update_feature(v, row);
+        graph.update_feature(v, row);
       } else if (kind < edel_cut) {
         if (!recent.empty() && rng.uniform() < config_.delete_recent_fraction) {
           // Cancel one of this thread's own recent insertions — a
@@ -86,26 +120,26 @@ UpdateReport UpdateGenerator::run() {
           // lands in rejected_removals like any stale delete.
           const auto pick = rng.bounded(static_cast<std::uint64_t>(recent.size()));
           const auto [a, b] = recent[static_cast<std::size_t>(pick)];
-          graph_.remove_edge(a, b);
+          graph.remove_edge(a, b);
         } else {
           // Retract a live edge of a random vertex per the latest
-          // published version; racing an unpublished retraction just
+          // visible version; racing an unpublished retraction just
           // lands in rejected_removals.
-          const auto version = graph_.current();
+          const auto version = visible(graph);
           const auto u = static_cast<VertexId>(
               rng.bounded(static_cast<std::uint64_t>(version->num_vertices())));
           adjacency.clear();
           version->append_neighbors(u, adjacency);
           if (!adjacency.empty()) {
             const auto pick = rng.bounded(static_cast<std::uint64_t>(adjacency.size()));
-            graph_.remove_edge(u, adjacency[static_cast<std::size_t>(pick)]);
+            graph.remove_edge(u, adjacency[static_cast<std::size_t>(pick)]);
           }
         }
       } else {
         for (int e = 0; e < config_.edges_per_op; ++e) {
           const auto u = static_cast<VertexId>(rng.bounded(static_cast<std::uint64_t>(n)));
           const auto v = static_cast<VertexId>(rng.bounded(static_cast<std::uint64_t>(n)));
-          if (graph_.add_edge(u, v)) note_insert(u, v);
+          if (graph.add_edge(u, v)) note_insert(u, v);
         }
       }
       // `done` counts attempted ops — an all-rejected adversarial mix
@@ -113,7 +147,7 @@ UpdateReport UpdateGenerator::run() {
       // publishing cannot be starved (pinned by the lifecycle tests).
       const std::int64_t done = completed_ops.fetch_add(1, std::memory_order_relaxed) + 1;
       if (config_.publish_every > 0 && done % config_.publish_every == 0) {
-        graph_.publish();
+        publish(graph);
       }
       if (config_.pacing > 0.0) {
         std::this_thread::sleep_for(std::chrono::duration<double>(config_.pacing));
@@ -131,9 +165,9 @@ UpdateReport UpdateGenerator::run() {
   for (auto& thread : threads) thread.join();
 
   // Final publish so every accepted update is visible to queries.
-  graph_.publish();
+  publish(graph);
 
-  const StreamStats after = graph_.stats();
+  const auto after = graph.stats();
   UpdateReport report;
   report.wall_time = wall.elapsed();
   report.operations = config_.operations;
@@ -143,14 +177,14 @@ UpdateReport UpdateGenerator::run() {
   report.rejected_removals = after.rejected_removals - before.rejected_removals;
   report.added_vertices = after.added_vertices - before.added_vertices;
   report.removed_vertices = after.removed_vertices - before.removed_vertices;
-  report.recycled_vertices = after.recycled_vertices - before.recycled_vertices;
+  report.recycled_vertices = recycled(after) - recycled(before);
   report.feature_updates = after.feature_updates - before.feature_updates;
-  report.publishes = after.publishes - before.publishes;
+  report.publishes = publishes(after) - publishes(before);
   report.edges_per_second =
       report.wall_time > 0.0
           ? static_cast<double>(report.accepted_edges + report.removed_edges) / report.wall_time
           : 0.0;
-  if (Telemetry* telemetry = graph_.telemetry(); telemetry != nullptr) {
+  if (Telemetry* telemetry = graph.telemetry(); telemetry != nullptr) {
     // Session-level ingest summary; the per-op stream.* counters were
     // mirrored live by the graph as each op landed.
     MetricsRegistry& reg = telemetry->registry();

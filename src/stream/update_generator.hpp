@@ -1,32 +1,40 @@
-// Synthetic update-stream driver for the streaming subsystem.
+// Synthetic update-stream driver for the streaming subsystem, flat or
+// sharded.
 //
 // Emits a deterministic (seeded) mix of edge insertions, edge
 // retractions, vertex arrivals (with random feature rows), vertex
-// retirements, and feature refreshes against a StreamingGraph.
+// retirements, and feature refreshes against a StreamingGraph or a
+// ShardedStreamingGraph.  One op loop, one RNG draw order: a sharded
+// run of a config sees the same feed as a flat one, and only three
+// points differ — the fixed cadence calls publish() or publish_all();
+// deletion targets come from the latest published version or the
+// latest adopted cut (a real feed retracts edges it knows exist); and on a sharded graph the report's `publishes`
+// counts cut adoptions and `recycled_vertices` is 0.
 // Publishing defaults to whoever owns the graph — normally the
-// SLO-driven background Publisher a streaming ServingSession runs — with an
-// optional fixed cadence (`publish_every` > 0) for deterministic
+// SLO-driven background Publisher(s) a streaming ServingSession runs —
+// with an optional fixed cadence (`publish_every` > 0) for deterministic
 // tests.  The cadence counts ATTEMPTED operations, accepted or not:
 // counting accepted ops only would let an adversarial mix of rejected
 // updates (double deletes, duplicate inserts) starve publishing
 // entirely, which is exactly the unbounded-staleness failure the
 // Publisher exists to rule out.
-// Deletion targets are drawn from the latest published version (a real
-// feed retracts edges it knows exist), so a removal can still lose a
-// race with an unpublished retraction — those land in the rejected
-// counters, exactly like duplicate inserts.  Paired with
-// serving/LoadGenerator it produces the mixed query/update (and churn)
-// workloads bench_streaming measures; on its own it is the
-// ingest-throughput microbenchmark.
+// A retraction drawn from the visible version can still lose a race
+// with an unpublished one — those land in the rejected counters,
+// exactly like duplicate inserts.  Paired with serving/LoadGenerator it
+// produces the mixed query/update (and churn) workloads bench_streaming
+// measures; on its own it is the ingest-throughput microbenchmark.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <variant>
 
 #include "common/timer.hpp"
 #include "stream/streaming_graph.hpp"
 
 namespace hyscale {
+
+class ShardedStreamingGraph;
 
 struct UpdateGeneratorConfig {
   std::int64_t operations = 1024;     ///< total ops across all threads
@@ -39,7 +47,7 @@ struct UpdateGeneratorConfig {
   double vertex_delete_fraction = 0.0;
   double feature_update_fraction = 0.10;  ///< ops that rewrite a feature row
   /// Ops that retract a live edge drawn from the latest published
-  /// version — the churn knob (CLI: --delete-frac).
+  /// version (sharded: the latest adopted cut) — the churn knob (CLI: --delete-frac).
   double edge_delete_fraction = 0.0;
   /// Of the edge-delete ops, the fraction that retracts an edge this
   /// thread itself inserted recently (kept in a small ring) instead of
@@ -68,9 +76,9 @@ struct UpdateReport {
   std::int64_t rejected_removals = 0;   ///< retractions of edges no longer live
   std::int64_t added_vertices = 0;
   std::int64_t removed_vertices = 0;
-  std::int64_t recycled_vertices = 0;   ///< vertex adds served by a reclaimed id
+  std::int64_t recycled_vertices = 0;   ///< vertex adds served by a reclaimed id (sharded: 0)
   std::int64_t feature_updates = 0;
-  std::int64_t publishes = 0;
+  std::int64_t publishes = 0;           ///< sharded: cut adoptions
   double edges_per_second = 0.0;        ///< (accepted + removed) / wall_time
 
   std::string to_string() const;
@@ -80,13 +88,19 @@ class UpdateGenerator {
  public:
   /// `graph` must outlive the generator.
   UpdateGenerator(StreamingGraph& graph, UpdateGeneratorConfig config = {});
+  UpdateGenerator(ShardedStreamingGraph& graph, UpdateGeneratorConfig config = {});
 
   /// Runs the full update session; blocks until every thread is done.
   /// Wrap in a std::thread to overlap with a query load.
   UpdateReport run();
 
  private:
-  StreamingGraph& graph_;
+  using Target = std::variant<StreamingGraph*, ShardedStreamingGraph*>;
+  UpdateGenerator(Target graph, UpdateGeneratorConfig config);
+  template <typename Graph>
+  UpdateReport run_on(Graph& graph);
+
+  Target graph_;
   UpdateGeneratorConfig config_;
 };
 

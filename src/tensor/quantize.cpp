@@ -36,7 +36,10 @@ void wire_roundtrip_row_int8(const float* src, float* dst, std::int64_t n) {
   const float scale = int8_row_scale(src, n);
   for (std::int64_t j = 0; j < n; ++j) {
     const float scaled = src[j] / scale;
-    const float q = std::clamp(std::round(scaled), -127.0f, 127.0f);
+    // + 0.0f turns a -0.0f quotient (a small negative that rounds to 0)
+    // into +0.0f, the value a stored int8 0 dequantizes to, so this row
+    // is memcmp-equal to quantize_row_int8 + simd::dequant.
+    const float q = std::clamp(std::round(scaled), -127.0f, 127.0f) + 0.0f;
     dst[j] = q * scale;
   }
 }

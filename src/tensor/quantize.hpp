@@ -56,8 +56,9 @@ void dequantize_int8(const QuantizedRows& q, Tensor& out);
 
 // ---- per-row primitives (shared by the device cache and the feature
 // store's wire simulation; one quantization rule everywhere, so a row
-// served from a pinned int8 device copy is bit-identical to the same
-// row round-tripped through an int8 host fetch) ----
+// served from a pinned int8 device copy is bit-identical — memcmp-equal,
+// zeros are +0.0f on both paths — to the same row round-tripped through
+// an int8 host fetch) ----
 
 /// Symmetric per-row scale: max_j |row[j]| / 127, 1 for all-zero rows.
 float int8_row_scale(const float* row, std::int64_t n);
@@ -69,7 +70,8 @@ float int8_row_scale(const float* row, std::int64_t n);
 void quantize_row_int8(const float* src, std::int64_t n, float scale, std::int8_t* dst);
 
 /// Fused quantize+dequantize of one row (no int8 intermediate): what
-/// the device sees after an int8 wire transfer.  src and dst may alias.
+/// the device sees after an int8 wire transfer, memcmp-equal to
+/// quantize_row_int8 + simd::dequant.  src and dst may alias.
 void wire_roundtrip_row_int8(const float* src, float* dst, std::int64_t n);
 
 /// Round-trips x through int8 quantization in place (what the device

@@ -243,6 +243,37 @@ TEST(HotPathInt8, CacheHitMatchesHostMissExactly) {
   }
 }
 
+TEST(HotPathInt8, CachedAndUncachedGatherOfNearZeroRowAreMemcmpEqual) {
+  // A row whose small negatives quantize to 0: a pinned-cache hit
+  // dequantizes them to +0.0f, and the host miss path must too.
+  const Dataset& ds = hotpath_dataset();
+  const std::int64_t cols = ds.features.cols();
+  std::vector<float> row(static_cast<std::size_t>(cols), -0.001f);
+  row[0] = 2.0f;
+  row[1] = 0.001f;
+
+  StreamingGraph cached(ds);
+  cached.features().set_transfer_precision(TransferPrecision::kInt8);
+  StaticFeatureCache cache(ds.graph, cached.features().base(), 16, TransferPrecision::kInt8);
+  cached.attach_cache(&cache);
+  VertexId v = 0;
+  while (!cache.cached(v)) ++v;
+
+  StreamingGraph uncached(ds);
+  uncached.features().set_transfer_precision(TransferPrecision::kInt8);
+  ASSERT_TRUE(cached.update_feature(v, row));
+  ASSERT_TRUE(uncached.update_feature(v, row));
+
+  const std::vector<VertexId> nodes = {v};
+  Tensor hit;
+  Tensor miss;
+  EXPECT_EQ(cached.gather(nodes, hit).hits, 1);
+  EXPECT_EQ(uncached.gather(nodes, miss).misses, 1);
+  EXPECT_EQ(std::memcmp(hit.row(0).data(), miss.row(0).data(),
+                        static_cast<std::size_t>(cols) * sizeof(float)),
+            0);
+}
+
 TEST(HotPathInt8, ServedLogitsMatchRoundTrippedReferenceWithinTolerance) {
   const Dataset& ds = hotpath_dataset();
   GnnModel model(hotpath_model_config());

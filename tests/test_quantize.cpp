@@ -3,6 +3,7 @@
 
 #include <cfenv>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "runtime/hybrid_trainer.hpp"
 #include "tensor/init.hpp"
 #include "tensor/quantize.hpp"
+#include "tensor/simd.hpp"
 
 namespace hyscale {
 namespace {
@@ -100,6 +102,27 @@ TEST(Quantize, SharedRowRuleMatchesBulkQuantizer) {
       const auto qv = q.values[static_cast<std::size_t>(i * x.cols() + j)];
       EXPECT_FLOAT_EQ(fused[static_cast<std::size_t>(j)], static_cast<float>(qv) * scale);
     }
+  }
+}
+
+TEST(Quantize, WireRoundTripIsMemcmpEqualToStoredInt8) {
+  // Rows with one large entry and many small negatives that round to 0:
+  // the fused wire round-trip must write the +0.0f a stored int8 0
+  // dequantizes to, not -0.0f, so an int8 miss is bitwise a hit.
+  Tensor x(64, 33);
+  uniform_init(x, -0.003f, 0.002f, 19);
+  for (std::int64_t i = 0; i < x.rows(); ++i) x.row(i)[static_cast<std::size_t>(i % 33)] = 1.0f;
+  std::vector<std::int8_t> q(static_cast<std::size_t>(x.cols()));
+  std::vector<float> stored(static_cast<std::size_t>(x.cols()));
+  std::vector<float> fused(static_cast<std::size_t>(x.cols()));
+  for (std::int64_t i = 0; i < x.rows(); ++i) {
+    const float* row = x.row(i).data();
+    const float scale = int8_row_scale(row, x.cols());
+    quantize_row_int8(row, x.cols(), scale, q.data());
+    simd::dequant(q.data(), scale, stored.data(), x.cols());
+    wire_roundtrip_row_int8(row, fused.data(), x.cols());
+    ASSERT_EQ(std::memcmp(stored.data(), fused.data(), stored.size() * sizeof(float)), 0)
+        << "row " << i;
   }
 }
 

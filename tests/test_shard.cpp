@@ -2,13 +2,14 @@
 // routing and lockstep vertex spaces across shards, halo mirror
 // refresh at cut adoption, consistent-cut semantics (staleness
 // detection, monotone cut ids, no-op adoption), the background
-// CutAdopter, the facade update driver, and the serving tier's
+// CutAdopter, UpdateGenerator over the facade, and the serving tier's
 // sharded mode (per-shard caches, routed gathers, traffic-triggered
 // cache re-ranks).  Bit-level parity against the flat stack lives in
 // test_shard_differential.cpp.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -260,9 +261,9 @@ TEST(CutAdopterTest, RejectsNonPositivePollInterval) {
   EXPECT_THROW(CutAdopter(graph, policy), std::invalid_argument);
 }
 
-// ------------------------------------------------------------ update driver
+// ------------------------------------------------------------ update feed
 
-TEST(ShardedUpdateDriverTest, ReportMatchesFacadeCounters) {
+TEST(ShardedUpdateGenerator, ReportMatchesFacadeCounters) {
   ShardedStreamingGraph graph(community(), sharded_config(2));
   UpdateGeneratorConfig config;
   config.operations = 400;
@@ -273,8 +274,8 @@ TEST(ShardedUpdateDriverTest, ReportMatchesFacadeCounters) {
   config.feature_update_fraction = 0.10;
   config.edge_delete_fraction = 0.15;
   config.seed = 23;
-  ShardedUpdateDriver driver(graph, config);
-  const UpdateReport report = driver.run();
+  UpdateGenerator generator(graph, config);
+  const UpdateReport report = generator.run();
   const ShardedStats stats = graph.stats();
   EXPECT_EQ(report.operations, 400);
   EXPECT_EQ(report.accepted_edges, stats.ingested_edges);
@@ -285,6 +286,49 @@ TEST(ShardedUpdateDriverTest, ReportMatchesFacadeCounters) {
   EXPECT_GT(report.publishes, 0);  // cut adoptions from the cadence
   EXPECT_FALSE(graph.cut_stale()); // final publish_all left nothing behind
   EXPECT_EQ(graph.dirty_rows(), 0);
+}
+
+TEST(ShardedUpdateGenerator, SameFeedSameCountersAsFlat) {
+  // One generator config against a flat graph and 2-/3-shard facades:
+  // the op mix and its RNG draws are shared code, so with one thread
+  // every logical counter must agree across the stacks, for every
+  // publish cadence (deletion targets come from the visible version,
+  // so the cadence decides which retractions land).
+  for (const std::uint64_t seed : {5ULL, 23ULL, 77ULL}) {
+    for (const std::int64_t publish_every : {1, 16, 64}) {
+      UpdateGeneratorConfig config;
+      config.operations = 400;
+      config.num_threads = 1;
+      config.publish_every = publish_every;
+      config.vertex_add_fraction = 0.08;
+      config.vertex_delete_fraction = 0.04;
+      config.feature_update_fraction = 0.10;
+      config.edge_delete_fraction = 0.25;
+      config.delete_recent_fraction = 0.5;
+      config.seed = seed;
+
+      StreamingConfig flat_config;
+      flat_config.recycle_ids = false;  // the facade never recycles ids
+      StreamingGraph flat(community(), flat_config);
+      const UpdateReport expected = UpdateGenerator(flat, config).run();
+      EXPECT_GT(expected.removed_edges, 0);
+      EXPECT_GT(expected.removed_vertices, 0);
+      for (const int shards : {2, 3}) {
+        ShardedStreamingGraph graph(community(), sharded_config(shards));
+        const UpdateReport got = UpdateGenerator(graph, config).run();
+        SCOPED_TRACE("seed=" + std::to_string(seed) +
+                     " publish_every=" + std::to_string(publish_every) +
+                     " shards=" + std::to_string(shards));
+        EXPECT_EQ(got.accepted_edges, expected.accepted_edges);
+        EXPECT_EQ(got.duplicate_edges, expected.duplicate_edges);
+        EXPECT_EQ(got.removed_edges, expected.removed_edges);
+        EXPECT_EQ(got.rejected_removals, expected.rejected_removals);
+        EXPECT_EQ(got.added_vertices, expected.added_vertices);
+        EXPECT_EQ(got.removed_vertices, expected.removed_vertices);
+        EXPECT_EQ(got.feature_updates, expected.feature_updates);
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ serving tier
@@ -414,9 +458,9 @@ TEST(ShardedServing, SessionLifecycleRunsCleanly) {
   updates.num_threads = 2;
   updates.feature_update_fraction = 0.2;
   updates.seed = 5;
-  ShardedUpdateDriver driver(session.shards(), updates);
+  UpdateGenerator generator(session.shards(), updates);
   UpdateReport update_report;
-  std::thread ingest([&] { update_report = driver.run(); });
+  std::thread ingest([&] { update_report = generator.run(); });
   for (int i = 0; i < 20; ++i) {
     const InferenceResult r = session.infer({static_cast<VertexId>(i % 60)});
     EXPECT_EQ(r.predictions.size(), 1u);
